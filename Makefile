@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify lint obs transform remote bench bench-check bench-write report
+.PHONY: test verify lint obs transform bench bench-check bench-write report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,39 +34,20 @@ transform:
 	$(PYTHON) -m repro --scale 0.3 transform --suite nr \
 		--pass tile=4,interchange,fuse --stability
 
-# The remote shard backend: the transport-chaos test set plus the CLI
-# differential — a remote reduction must print byte-for-byte what the
-# serial one prints, clean and under a hostile network fault plan
-# (docs/REMOTE.md, examples/net_chaos_plan.json).
-remote:
-	$(PYTHON) -m pytest -q -m remote
-	$(PYTHON) -m repro --scale 0.3 reduce --suite nr \
-		> /tmp/repro_remote_serial.txt
-	$(PYTHON) -m repro --scale 0.3 --shards 3 --shard-backend remote \
-		reduce --suite nr > /tmp/repro_remote_clean.txt
-	$(PYTHON) -m repro --scale 0.3 --shards 3 --shard-backend remote \
-		--fault-plan examples/net_chaos_plan.json \
-		reduce --suite nr > /tmp/repro_remote_chaos.txt
-	cmp /tmp/repro_remote_serial.txt /tmp/repro_remote_clean.txt
-	cmp /tmp/repro_remote_serial.txt /tmp/repro_remote_chaos.txt
-
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Gate the clustering hot path, the sharded executor and the cache
-# simulator against their committed performance trajectories
-# (machine-independent speedup ratios; docs/PERFORMANCE.md,
-# docs/SHARDING.md).
+# Gate the clustering hot path and the cache simulator against their
+# committed performance trajectories (machine-independent speedup
+# ratios; docs/PERFORMANCE.md).
 bench-check:
 	$(PYTHON) benchmarks/clustering_trajectory.py --check
-	$(PYTHON) benchmarks/sharding_trajectory.py --check
 	$(PYTHON) benchmarks/simulation_trajectory.py --check
 
-# Refresh BENCH_clustering.json / BENCH_sharding.json /
-# BENCH_simulation.json after a deliberate perf change.
+# Refresh BENCH_clustering.json / BENCH_simulation.json after a
+# deliberate perf change.
 bench-write:
 	$(PYTHON) benchmarks/clustering_trajectory.py --write
-	$(PYTHON) benchmarks/sharding_trajectory.py --write
 	$(PYTHON) benchmarks/simulation_trajectory.py --write
 
 report:

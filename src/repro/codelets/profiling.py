@@ -212,7 +212,7 @@ def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
 
     obs.metrics.counter("tasks.profile").inc(len(pending))
     if pending:
-        parallel = executor is not None and executor.distributes
+        parallel = executor is not None and executor.jobs > 1
         if parallel:
             spec = measurer.spec()
             payloads = [(codelets[i], spec, arch, min_total_cycles,
@@ -250,9 +250,6 @@ def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
                 poison = (plan is not None and plan.poisons_cache(
                     codelets[i].name, arch.name))
                 cache.put(keys[i], outcome, corrupt=poison)
-        if getattr(executor, "is_sharded", False):
-            obs.metrics.gauge("shard.tasks_quarantined").set(
-                len(quarantined))
 
     kept: List[CodeletProfile] = []
     discarded: List[Tuple[str, float]] = []

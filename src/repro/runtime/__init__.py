@@ -20,22 +20,10 @@ package supplies the corresponding machinery:
 * :mod:`~repro.runtime.resilience` — :class:`ResilientExecutor`
   (per-task retries, exponential backoff, wall-clock budgets, circuit
   breakers) and the structured :class:`RunHealth` report;
-* :mod:`~repro.runtime.sharding` — :class:`ShardedExecutor`
-  (consistent-hash task placement, deterministic work stealing,
-  order-preserving results bit-identical to serial, pluggable
-  backends via ``SHARD_BACKENDS``) and :class:`ShardedCache`
-  (per-shard cache partitions merged losslessly, checksum-validated,
-  into the shared store — docs/SHARDING.md);
-* :mod:`~repro.runtime.remote` — the ``remote`` shard backend:
-  per-shard workers behind a message-passing :class:`Transport`
-  (checksummed envelopes, retries with backoff, idempotent
-  redelivery, heartbeats, lease-based reassignment) with
-  deterministic network-fault injection — docs/REMOTE.md;
 * :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the knob bundle
   wired through :class:`repro.core.pipeline.SubsettingConfig` and the
-  CLI (``--jobs``, ``--cache-dir``, ``--no-cache``, ``--retries``,
-  ``--task-timeout``, ``--fault-plan``, ``--strict``, ``--shards``,
-  ``--shard-backend``, ``--shard-transport``).
+  CLI (``--jobs``, ``--cache-dir``, ``--retries``,
+  ``--task-timeout``, ``--fault-plan``, ``--strict``).
 
 This package deliberately depends only on :mod:`repro.ir` and
 :mod:`repro.machine`; the codelet and core layers import *it*.
@@ -45,25 +33,14 @@ from .cache import CACHE_FORMAT, CacheStats, DiskCache, content_key
 from .config import RuntimeConfig
 from .executor import (Executor, ProcessExecutor, SerialExecutor,
                        make_executor, resolve_jobs)
-from .faults import (FAULT_KINDS, FAULT_STAGES, NET_FAULT_KINDS,
-                     CorruptResult, FaultPlan, FaultRule,
-                     InjectedCrash, InjectedFault, InjectedTimeout,
-                     crash_plan)
-from .remote import (TRANSPORTS, ChaosTransport, DroppedMessage,
-                     Envelope, GarbledPayload, LoopbackTransport,
-                     PipeTransport, RemoteShardRunner, ShardWorker,
-                     Transport, TransportError, TransportStats,
-                     WorkerDied)
+from .faults import (FAULT_KINDS, FAULT_STAGES, CorruptResult,
+                     FaultPlan, FaultRule, InjectedCrash,
+                     InjectedFault, InjectedTimeout, crash_plan)
 from .fingerprint import (architecture_fingerprint, codelet_fingerprint,
                           kernel_fingerprint, measurer_fingerprint,
                           profile_cache_key)
 from .resilience import (QUARANTINED, ResilientExecutor, RetryPolicy,
                          RunHealth, TaskHealth)
-from .sharding import (SHARD_BACKENDS, SKEW_PROFILES, MergeStats,
-                       ShardedCache, ShardedExecutor, ShardPlan,
-                       ShardRing, ShardTopology, default_task_key,
-                       plan_shards, register_shard_backend,
-                       shard_backend_names)
 
 __all__ = [
     "Executor", "SerialExecutor", "ProcessExecutor",
@@ -75,16 +52,6 @@ __all__ = [
     "CorruptResult", "crash_plan",
     "ResilientExecutor", "RetryPolicy", "RunHealth", "TaskHealth",
     "QUARANTINED",
-    "ShardRing", "ShardPlan", "plan_shards", "default_task_key",
-    "ShardedExecutor", "ShardTopology", "SKEW_PROFILES",
-    "ShardedCache", "MergeStats", "SHARD_BACKENDS",
-    "register_shard_backend", "shard_backend_names",
-    "NET_FAULT_KINDS",
-    "Transport", "LoopbackTransport", "PipeTransport",
-    "ChaosTransport", "TransportStats", "RemoteShardRunner",
-    "ShardWorker", "Envelope", "TRANSPORTS",
-    "TransportError", "DroppedMessage", "GarbledPayload",
-    "WorkerDied",
     "kernel_fingerprint", "codelet_fingerprint",
     "architecture_fingerprint", "measurer_fingerprint",
     "profile_cache_key",

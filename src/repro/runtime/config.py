@@ -2,7 +2,7 @@
 
 :class:`RuntimeConfig` is carried by
 :class:`repro.core.pipeline.SubsettingConfig` and surfaced on the CLI as
-``--jobs`` / ``--cache-dir`` / ``--no-cache`` plus the resilience flags
+``--jobs`` / ``--cache-dir`` plus the resilience flags
 ``--retries`` / ``--task-timeout`` / ``--fault-plan`` / ``--strict``.
 The defaults (serial, no cache, two retries, no faults) reproduce the
 historical results exactly: with no faults to recover from, the
@@ -18,7 +18,6 @@ from .cache import DiskCache
 from .executor import Executor, make_executor
 from .faults import FaultPlan
 from .resilience import ResilientExecutor, RetryPolicy, RunHealth
-from .sharding import ShardedCache, ShardedExecutor
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class RuntimeConfig:
     cache_dir:
         Directory of the content-addressed profile cache; ``None``
         disables caching entirely.
-    use_cache:
-        ``False`` ignores ``cache_dir`` (the CLI's ``--no-cache``)
-        without having to unset it.
     retries:
         Extra attempts per failed task before its circuit breaker
         quarantines it (the CLI's ``--retries``; 0 restores the
@@ -53,81 +49,28 @@ class RuntimeConfig:
         Escalate graceful degradation (quarantines, cache poisoning,
         destroyed clusters) into a non-zero CLI exit instead of a
         health-report footnote.
-    shards:
-        Logical shards for Step B/E batches (the CLI's ``--shards``);
-        0 disables sharding (the historical executors).  A sharded run
-        is bit-identical to serial — see docs/SHARDING.md.
-    shard_backend:
-        Worker backend behind each shard: ``"serial"`` (in-process),
-        ``"process"`` (a pool of at most ``min(shards, jobs)``
-        workers), or ``"remote"`` (simulated remote workers behind a
-        message-passing transport — docs/REMOTE.md).  The registry in
-        :mod:`repro.runtime.sharding` owns the authoritative set.
-    shard_transport:
-        Message carrier for the remote backend: ``"loopback"``
-        (in-process, deterministic) or ``"pipe"`` (one OS process per
-        worker over multiprocessing pipes).  Ignored by the other
-        backends.
-    remote_duplicate_delivery:
-        Verify-harness defect knob (``--break
-        remote-duplicate-delivery``): remote workers stop deduplicating
-        redelivered messages, so a duplicated or retried ``task`` call
-        re-executes and shifts the lease cursor.  Production runs never
-        set it — it exists so the ``remote-differential`` invariant can
-        prove it bites.
-    shard_steal_reorder:
-        Verify-harness defect knob (``--break shard-steal-reorder``):
-        batches whose steal pass moved a task return results in
-        execution order instead of input order.  Production runs never
-        set it — it exists so the ``shard-differential`` invariant can
-        prove it bites.
     """
 
     jobs: int = 1
     cache_dir: Optional[str] = None
-    use_cache: bool = True
     retries: int = 2
     backoff_s: float = 0.0
     task_timeout_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     strict: bool = False
-    shards: int = 0
-    shard_backend: str = "serial"
-    shard_transport: str = "loopback"
-    shard_steal_reorder: bool = False
-    remote_duplicate_delivery: bool = False
 
-    def make_executor(self, obs=None) -> Executor:
-        """A fresh executor honouring ``shards``/``jobs`` (use as a
-        context manager).  ``obs`` routes the sharded executor's
-        ``shard.*`` metrics and per-shard spans into a specific
-        observation (it falls back to the active one otherwise).  The
-        fault plan rides along so the remote backend's chaos transport
-        can consult its ``transport``-stage rules."""
-        if self.shards > 0:
-            return ShardedExecutor(
-                self.shards, backend=self.shard_backend,
-                jobs=self.jobs,
-                steal_reorder=self.shard_steal_reorder,
-                fault_plan=self.fault_plan,
-                transport=self.shard_transport,
-                duplicate_delivery=self.remote_duplicate_delivery,
-                obs=obs)
+    def make_executor(self) -> Executor:
+        """A fresh executor honouring ``jobs`` (use as a context
+        manager)."""
         return make_executor(self.jobs)
 
     def make_cache(self, obs=None) -> Optional[DiskCache]:
         """The profile cache, or ``None`` when caching is off.
 
         ``obs`` (an :class:`repro.obs.Observation`) mirrors the cache
-        accounting into the run's ``cache.*`` metrics.  Sharded runs
-        get a :class:`ShardedCache` (per-shard write partitions merged
-        into the shared store at batch completion) over the same root,
-        interoperable with non-sharded runs.
+        accounting into the run's ``cache.*`` metrics.
         """
-        if self.cache_dir and self.use_cache:
-            if self.shards > 0:
-                return ShardedCache(self.cache_dir, self.shards,
-                                    obs=obs)
+        if self.cache_dir:
             return DiskCache(self.cache_dir, obs=obs)
         return None
 

@@ -36,14 +36,6 @@ class Executor(ABC):
     #: Worker count; 1 means the batch runs in the calling process.
     jobs: int = 1
 
-    @property
-    def distributes(self) -> bool:
-        """Whether :meth:`map` routes work through the distributed
-        path (picklable module-level workers + payloads).  Callers use
-        this — not ``jobs`` — to pick the fan-out code path: sharded
-        executors distribute even with a single worker process."""
-        return self.jobs > 1
-
     @abstractmethod
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> List[Any]:

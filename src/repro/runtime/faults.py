@@ -24,28 +24,14 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Optional, Sequence, Tuple
 
-#: Network fault kinds, injected at the message-transport layer of the
-#: remote shard backend (docs/REMOTE.md).  ``net-drop`` loses a request
-#: before delivery, ``net-delay`` delivers it but times the response
-#: out (the worker *did* execute — redelivery must be idempotent),
-#: ``net-duplicate`` delivers the same envelope twice, ``net-garble``
-#: flips a payload byte in flight (caught by the envelope checksum),
-#: and ``worker-crash`` kills the remote worker mid-call (the shard's
-#: remaining lease is reassigned).
-NET_FAULT_KINDS = ("net-drop", "net-delay", "net-duplicate",
-                   "net-garble", "worker-crash")
-
-#: The failure taxonomy (docs/RESILIENCE.md, docs/REMOTE.md).
-FAULT_KINDS = ("crash", "timeout", "corrupt",
-               "cache-poison") + NET_FAULT_KINDS
+#: The failure taxonomy (docs/RESILIENCE.md).
+FAULT_KINDS = ("crash", "timeout", "corrupt", "cache-poison")
 
 #: Pipeline stages a rule can target.  ``profile`` is Step B per-codelet
 #: profiling, ``fidelity`` the Step D standalone-vs-in-app probe,
 #: ``bench`` the Step E representative microbenchmark, ``cache`` the
-#: on-disk profile-cache write path (``cache-poison`` only), and
-#: ``transport`` the remote backend's message layer (network kinds
-#: only — see :data:`NET_FAULT_KINDS`).
-FAULT_STAGES = ("profile", "fidelity", "bench", "cache", "transport")
+#: on-disk profile-cache write path (``cache-poison`` only).
+FAULT_STAGES = ("profile", "fidelity", "bench", "cache")
 
 
 class InjectedFault(RuntimeError):
@@ -92,16 +78,6 @@ class FaultRule:
             raise ValueError(
                 f"unknown fault stage {self.stage!r}: "
                 f"choose from {', '.join(FAULT_STAGES)} or '*'")
-        if self.kind in NET_FAULT_KINDS:
-            if self.stage not in ("*", "transport"):
-                raise ValueError(
-                    f"network fault kind {self.kind!r} only fires at "
-                    f"the 'transport' stage, not {self.stage!r}")
-        elif self.stage == "transport":
-            raise ValueError(
-                f"fault kind {self.kind!r} never fires at the "
-                f"'transport' stage: choose from "
-                f"{', '.join(NET_FAULT_KINDS)}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"fault probability must be in [0, 1], "

@@ -100,13 +100,6 @@ class RunHealth:
     degradations: List[str] = field(default_factory=list)
     cache_checksum_failures: int = 0
     cache_errors: int = 0
-    #: Remote-transport accounting (zero unless the run used the
-    #: remote shard backend — docs/REMOTE.md).  Deterministic under a
-    #: fault plan, so replays stay byte-identical.
-    rpc_attempts: int = 0
-    rpc_retries: int = 0
-    shards_reassigned: int = 0
-    results_redelivered: int = 0
 
     # -- recording ------------------------------------------------------------
 
@@ -123,19 +116,6 @@ class RunHealth:
         self.cache_checksum_failures = getattr(
             stats, "checksum_failures", 0)
         self.cache_errors = getattr(stats, "errors", 0)
-
-    def note_transport(self, stats) -> None:
-        """Absorb one executor's transport accounting (additive — call
-        once per executor instance; Step B and Step E each have one).
-        Recovery is not degradation: a reassigned lease re-executes
-        only its remaining entries and provably changes nothing, so —
-        like retries — it is counted here (and in the JSON report),
-        never printed into the reduce output, which must stay
-        byte-identical to a serial run even under network chaos."""
-        self.rpc_attempts += getattr(stats, "rpc_attempts", 0)
-        self.rpc_retries += getattr(stats, "rpc_retries", 0)
-        self.results_redelivered += getattr(stats, "redelivered", 0)
-        self.shards_reassigned += getattr(stats, "reassigned", 0)
 
     # -- accounting -----------------------------------------------------------
 
@@ -181,12 +161,6 @@ class RunHealth:
             "total_retries": self.total_retries,
             "cache_checksum_failures": self.cache_checksum_failures,
             "cache_errors": self.cache_errors,
-            "transport": {
-                "rpc_attempts": self.rpc_attempts,
-                "rpc_retries": self.rpc_retries,
-                "shards_reassigned": self.shards_reassigned,
-                "results_redelivered": self.results_redelivered,
-            },
             "degraded": self.degraded,
         }, indent=2, sort_keys=True)
 
@@ -207,10 +181,6 @@ class RunHealth:
                 f"  cache: {self.cache_checksum_failures} checksum "
                 f"failures, {self.cache_errors} unreadable entries "
                 "(invalidated and recomputed)")
-        # Transport accounting (rpc attempts, retries, reassigned
-        # leases, redeliveries) is deliberately absent here: it lives
-        # in to_json() only, so a remote run's printed report stays
-        # byte-identical to serial.
         for t in self.tasks:
             if t.outcome == "ok":
                 continue

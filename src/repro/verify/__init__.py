@@ -14,8 +14,8 @@ properties *executable*:
   the :class:`VerifyContext` it runs against, with deliberate-defect
   injection (``BREAKAGES``) to prove each invariant actually bites;
 * :mod:`~repro.verify.oracle` — the differential oracle: paired
-  configuration runs (serial/pool, serial/sharded, cached/uncached,
-  elbow/explicit K) structurally diffed field by field;
+  configuration runs (serial/pool, cached/uncached, elbow/explicit K)
+  structurally diffed field by field;
 * :mod:`~repro.verify.report` / :mod:`~repro.verify.runner` — the
   pass/fail report and the ``repro verify`` entry point.
 
@@ -36,7 +36,7 @@ from .strategies import (FEATURE_MATRIX_VARIANTS, KERNEL_SHAPES,
                          benchmark_suites, codelet_lists,
                          feature_matrices,
                          random_codelet, random_codelets,
-                         shard_topologies, synthetic_suite)
+                         synthetic_suite)
 
 __all__ = [
     "Invariant", "InvariantResult", "InvariantViolation",
@@ -49,5 +49,5 @@ __all__ = [
     "KERNEL_SHAPES", "random_codelet", "random_codelets",
     "synthetic_suite", "codelet_lists", "benchmark_suites",
     "architecture_configs", "feature_matrices",
-    "FEATURE_MATRIX_VARIANTS", "shard_topologies",
+    "FEATURE_MATRIX_VARIANTS",
 ]

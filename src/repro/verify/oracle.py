@@ -6,7 +6,6 @@ runs the full pipeline under *paired* configurations that must be
 observationally identical —
 
 * serial vs. process-pool execution (``jobs=1`` vs ``jobs=2``),
-* serial vs. sharded execution (``shards=0`` vs ``shards=3``),
 * cached vs. uncached profiling (plus cold vs. warm cache),
 * elbow-selected K vs. the same K requested explicitly —
 
@@ -158,52 +157,6 @@ def _case_serial_vs_parallel(ctx) -> List[Discrepancy]:
     return out
 
 
-def _case_serial_vs_sharded(ctx) -> List[Discrepancy]:
-    serial_measurer = Measurer()
-    serial = BenchmarkReducer(ctx.suite, serial_measurer,
-                              ctx.config).reduce("elbow")
-    sharded_config = replace(ctx.config,
-                             runtime=RuntimeConfig(shards=3))
-    sharded_measurer = Measurer()
-    sharded = BenchmarkReducer(ctx.suite, sharded_measurer,
-                               sharded_config).reduce("elbow")
-    out = diff_reduced(serial, sharded)
-    if out or not serial.profiles:
-        return out
-    # Step E through the sharded executor must match serial too.
-    target = TARGETS[0]
-    eval_serial = evaluate_on_target(serial, target, serial_measurer)
-    with sharded_config.runtime.make_executor() as executor:
-        eval_sharded = evaluate_on_target(sharded, target,
-                                          sharded_measurer,
-                                          executor=executor)
-    out.extend(diff_evaluations(eval_serial, eval_sharded))
-    return out
-
-
-def _case_serial_vs_remote(ctx) -> List[Discrepancy]:
-    serial_measurer = Measurer()
-    serial = BenchmarkReducer(ctx.suite, serial_measurer,
-                              ctx.config).reduce("elbow")
-    remote_config = replace(ctx.config, runtime=RuntimeConfig(
-        shards=3, shard_backend="remote"))
-    remote_measurer = Measurer()
-    remote = BenchmarkReducer(ctx.suite, remote_measurer,
-                              remote_config).reduce("elbow")
-    out = diff_reduced(serial, remote)
-    if out or not serial.profiles:
-        return out
-    # Step E through the transport-backed workers must match too.
-    target = TARGETS[0]
-    eval_serial = evaluate_on_target(serial, target, serial_measurer)
-    with remote_config.runtime.make_executor() as executor:
-        eval_remote = evaluate_on_target(remote, target,
-                                         remote_measurer,
-                                         executor=executor)
-    out.extend(diff_evaluations(eval_serial, eval_remote))
-    return out
-
-
 def _case_cached_vs_uncached(ctx) -> List[Discrepancy]:
     uncached = ctx.fresh_reducer().reduce("elbow")
     with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
@@ -242,18 +195,6 @@ DIFFERENTIAL_CASES: Dict[str, DifferentialCase] = {
             "jobs=1 and jobs=2 produce bit-identical reductions and "
             "target predictions",
             _case_serial_vs_parallel),
-        DifferentialCase(
-            "serial-vs-sharded",
-            "shards=0 and shards=3 (consistent-hash placement, "
-            "deterministic work stealing, partitioned cache) produce "
-            "bit-identical reductions and target predictions",
-            _case_serial_vs_sharded),
-        DifferentialCase(
-            "serial-vs-remote",
-            "shards=0 and shards=3 over the remote backend "
-            "(message-passing workers, checksummed envelopes, leases) "
-            "produce bit-identical reductions and target predictions",
-            _case_serial_vs_remote),
         DifferentialCase(
             "cached-vs-uncached",
             "profiling through the on-disk cache (cold and warm) "

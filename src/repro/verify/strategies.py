@@ -29,8 +29,6 @@ from ..codelets.codelet import (Application, BenchmarkSuite, Codelet,
 from ..ir import DP, SP, KernelBuilder
 from ..ir.kernel import SourceLoc
 from ..machine.architecture import ALL_ARCHITECTURES, Architecture
-from ..runtime.faults import NET_FAULT_KINDS, FaultPlan, FaultRule
-from ..runtime.sharding import SKEW_PROFILES, ShardTopology
 
 try:                                    # optional test-time dependency
     from hypothesis import strategies as st
@@ -259,63 +257,6 @@ def feature_matrices(min_rows: int = 2, max_rows: int = 24,
                      st.integers(min_value=min_rows, max_value=max_rows),
                      st.integers(min_value=1, max_value=max_cols),
                      st.sampled_from(FEATURE_MATRIX_VARIANTS))
-
-
-def shard_topologies(max_shards: int = 8):
-    """Strategy over adversarial shard topologies: single shards,
-    shard counts beyond the task count, coarse and fine vnode
-    granularities, distinct ring salts, skewed task-cost profiles and
-    colliding task keys (which force the steal pass to fire)."""
-    _require_hypothesis()
-    return st.builds(ShardTopology,
-                     shards=st.integers(min_value=1,
-                                        max_value=max_shards),
-                     vnodes=st.sampled_from([1, 4, 16, 64]),
-                     salt=st.sampled_from(["", "a", "ring-b"]),
-                     skew=st.sampled_from(tuple(SKEW_PROFILES)),
-                     collide=st.integers(min_value=0, max_value=3))
-
-
-def _network_fault_rule(kind: str, match: str,
-                        attempts: Sequence[int]) -> FaultRule:
-    if kind == "worker-crash":
-        # An unrestricted crash rule would also kill every replacement
-        # worker, so a lease could never complete; pinning crashes to
-        # the initial worker of shard 0 (replacement ids start at
-        # n_shards and never re-match ``w00``) keeps every generated
-        # schedule recoverable.
-        match = "w00:task:*"
-    return FaultRule(kind=kind, match=match, stage="transport",
-                     attempts=tuple(attempts))
-
-
-def _network_fault_plan(seed: int,
-                        rules: Sequence[FaultRule]) -> FaultPlan:
-    return FaultPlan(seed=seed, rules=tuple(rules))
-
-
-def network_fault_plans(max_rules: int = 3):
-    """Strategy over recoverable network-chaos schedules for the
-    remote backend (shrinks over seed, rule count, fault kind, match
-    pattern and the faulted delivery attempts).
-
-    Every generated plan is survivable by construction: faults fire
-    only on attempts below the retry budget (``rpc_retries=2`` allows
-    3 deliveries), and ``worker-crash`` rules are pinned to shard 0's
-    initial worker so reassignment always terminates.  Properties
-    assert byte-identity to a fault-free run under *any* drawn plan.
-    """
-    _require_hypothesis()
-    rule = st.builds(
-        _network_fault_rule,
-        st.sampled_from(NET_FAULT_KINDS),
-        st.sampled_from(["*", "w*:task:*", "w00:task:*",
-                         "w*:heartbeat:*", "w*:lease:*"]),
-        st.sampled_from([(0,), (1,), (0, 1)]))
-    return st.builds(
-        _network_fault_plan,
-        st.integers(min_value=0, max_value=2 ** 32 - 1),
-        st.lists(rule, min_size=1, max_size=max_rules))
 
 
 def _scaled_architecture(arch: Architecture,

@@ -83,11 +83,3 @@ def test_cache_stats_none_without_cache(suite):
     reducer = BenchmarkReducer(suite, Measurer())
     assert reducer.cache_stats is None
 
-
-def test_no_cache_flag_disables_cache(suite, tmp_path):
-    config = SubsettingConfig(runtime=RuntimeConfig(
-        jobs=1, cache_dir=str(tmp_path / "cache"), use_cache=False))
-    reducer = BenchmarkReducer(suite, Measurer(), config)
-    assert reducer.cache_stats is None
-    reducer.profiling()
-    assert not (tmp_path / "cache").exists()

@@ -14,14 +14,6 @@ def test_negative_jobs_rejected(capsys):
     assert "-j/--jobs: must be >= 0" in capsys.readouterr().err
 
 
-def test_cache_dir_conflicts_with_no_cache(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["--cache-dir", str(tmp_path), "--no-cache", "suites"])
-    assert exc.value.code == 2
-    assert "--no-cache conflicts with --cache-dir" in \
-        capsys.readouterr().err
-
-
 def test_cache_dir_must_be_a_directory(capsys, tmp_path):
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("plain file")
@@ -36,6 +28,16 @@ def test_unknown_suite_rejected(capsys):
         main(["reduce", "--suite", "spec"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["abc", "0", "-3"])
+def test_invalid_k_is_a_usage_error(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--suite", "nr", "--k", k])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --k: must be 'elbow' or an integer >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_verify_breakage_rejected(capsys):

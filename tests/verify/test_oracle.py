@@ -51,8 +51,7 @@ class TestDiffReduced:
 class TestDifferentialCases:
     def test_registered_cases(self):
         assert set(DIFFERENTIAL_CASES) == {
-            "serial-vs-parallel", "serial-vs-sharded",
-            "serial-vs-remote", "cached-vs-uncached",
+            "serial-vs-parallel", "cached-vs-uncached",
             "elbow-vs-explicit-k"}
 
     def test_unknown_case_rejected(self, ctx):
@@ -65,8 +64,4 @@ class TestDifferentialCases:
 
     def test_cached_vs_uncached_passes(self, ctx):
         (result,) = run_differential(ctx, ["cached-vs-uncached"])
-        assert result.passed, [str(d) for d in result.discrepancies]
-
-    def test_serial_vs_sharded_passes(self, ctx):
-        (result,) = run_differential(ctx, ["serial-vs-sharded"])
         assert result.passed, [str(d) for d in result.discrepancies]
