@@ -5,14 +5,12 @@ Absolute wall times are machine-specific, so the committed file is a
 *trajectory*, not a contract: what CI enforces are machine-independent
 ratios measured fresh on the runner —
 
-* the NN-chain fast path must be ≥ 5× faster than the bit-compatible
-  O(n³) reference loop at n = 512 (the headline contract of the
-  clustering rewrite, docs/PERFORMANCE.md);
+* the vectorized greedy linkage must be ≥ 5× faster than the
+  bit-compatible O(n³) reference loop at n = 512 (the headline
+  contract of the clustering fast path, docs/PERFORMANCE.md);
 * the fresh speedup at n = 512 must be ≥ 0.8× the committed one
   (a > 20% relative regression fails; smaller sizes are recorded for
-  the trajectory but not gated — sub-10ms ratios are noise-dominated);
-* an incremental re-cluster after a one-codelet edit must recompute
-  exactly one distance row and must not be slower than a full one.
+  the trajectory but not gated — sub-10ms ratios are noise-dominated).
 
 Usage::
 
@@ -28,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.clustering import (IncrementalClusterer, linkage,
-                                   linkage_reference)
+from repro.core.clustering import linkage, linkage_reference
 
 FORMAT = "repro-bench-clustering-v1"
 N_FEATURES = 14
@@ -67,29 +64,10 @@ def measure() -> dict:
             "reference_s": round(ref_s, 6),
             "speedup": round(ref_s / fast_s, 2),
         }
-
-    n = 512
-    points = _points(n)
-    edited = points.copy()
-    edited[n // 2] += 1.0
-    inc = IncrementalClusterer()
-    inc.update(points)
-    state = inc.state()
-    result = IncrementalClusterer.from_state(state).update(edited)
-    full_s = _best_of(3, lambda: IncrementalClusterer().update(edited))
-    inc_s = _best_of(
-        3, lambda: IncrementalClusterer.from_state(state).update(edited))
     return {
         "format": FORMAT,
         "n_features": N_FEATURES,
         "sizes": sizes,
-        "incremental": {
-            "n": n,
-            "full_s": round(full_s, 6),
-            "incremental_s": round(inc_s, 6),
-            "rows_recomputed": result.rows_recomputed,
-            "rows_reused": result.rows_reused,
-        },
     }
 
 
@@ -114,17 +92,6 @@ def check(fresh: dict, committed: dict) -> list:
             f"n={n}: fresh speedup {headline:.1f}x regressed more than "
             f"{REGRESSION_TOLERANCE:.0%} below the committed "
             f"{want:.1f}x (floor {floor:.1f}x)")
-
-    inc = fresh["incremental"]
-    if inc["rows_recomputed"] != 1:
-        failures.append(
-            f"incremental re-cluster after a one-codelet edit "
-            f"recomputed {inc['rows_recomputed']} distance rows, "
-            "expected exactly 1 — the update is not O(changed)")
-    if inc["incremental_s"] > inc["full_s"] * 1.1:
-        failures.append(
-            f"incremental re-cluster ({inc['incremental_s']:.4f}s) is "
-            f"slower than a full one ({inc['full_s']:.4f}s)")
     return failures
 
 
@@ -150,10 +117,6 @@ def main(argv=None) -> int:
             e = fresh["sizes"][str(n)]
             print(f"  n={n}: fast {e['fast_s']:.4f}s, reference "
                   f"{e['reference_s']:.4f}s, speedup {e['speedup']:.1f}x")
-        inc = fresh["incremental"]
-        print(f"  incremental(n={inc['n']}, one edit): "
-              f"{inc['incremental_s']:.4f}s vs full {inc['full_s']:.4f}s"
-              f", rows recomputed {inc['rows_recomputed']}")
         return 0
 
     try:

@@ -1,11 +1,8 @@
-"""Clustering hot-path benchmarks: NN-chain vs reference, incremental
-vs full re-clustering.
+"""Clustering hot-path benchmarks: vectorized greedy vs reference.
 
-These pin the performance contract of the clustering rewrite (see
-docs/PERFORMANCE.md): the vectorized NN-chain path must stay well ahead
-of the O(n³) reference loop it is bit-compatible with, and an
-incremental re-cluster after a one-codelet edit must beat recomputing
-every pairwise distance from scratch.
+These pin the performance contract of the clustering fast path (see
+docs/PERFORMANCE.md): the vectorized greedy linkage must stay well
+ahead of the O(n³) reference loop it is bit-compatible with.
 
 Run with ``pytest benchmarks/test_clustering_bench.py --benchmark-only``
 or ``make bench``.  The committed trajectory (``BENCH_clustering.json``)
@@ -16,8 +13,7 @@ checks machine-independently via speedup ratios.
 import numpy as np
 import pytest
 
-from repro.core.clustering import (IncrementalClusterer, linkage,
-                                   linkage_reference)
+from repro.core.clustering import linkage, linkage_reference
 
 #: Feature-space width matched to the paper's Table 2 feature set.
 N_FEATURES = 14
@@ -32,7 +28,7 @@ def _points(n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_nn_chain_linkage(benchmark, n):
+def test_linkage(benchmark, n):
     points = _points(n)
     benchmark.group = f"linkage n={n}"
     benchmark(linkage, points)
@@ -43,31 +39,3 @@ def test_reference_linkage(benchmark, n):
     points = _points(n)
     benchmark.group = f"linkage n={n}"
     benchmark(linkage_reference, points)
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_full_recluster(benchmark, n):
-    """Cold-state clusterer: every distance row recomputed."""
-    points = _points(n)
-    benchmark.group = f"recluster n={n}"
-    benchmark(lambda: IncrementalClusterer().update(points))
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_incremental_recluster_one_edit(benchmark, n):
-    """Warm-state clusterer after a one-codelet edit: exactly one
-    distance row recomputed, the rest recycled."""
-    points = _points(n)
-    edited = points.copy()
-    edited[n // 2] += 1.0
-    inc = IncrementalClusterer()
-    inc.update(points)
-    state = inc.state()
-    benchmark.group = f"recluster n={n}"
-
-    def run():
-        result = IncrementalClusterer.from_state(state).update(edited)
-        assert result.rows_recomputed == 1
-        return result
-
-    benchmark(run)
