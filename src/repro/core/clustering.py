@@ -24,7 +24,7 @@ Two linkage implementations coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -379,13 +379,82 @@ def within_cluster_variance(points: np.ndarray,
     return total
 
 
+def _resolve_k_max(k_max: Optional[int], n: int) -> int:
+    """The largest K a sweep visits: ``None`` means ``n``, and a bound
+    past ``n`` is clipped to it."""
+    if k_max is None:
+        return n
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1 or None, got {k_max!r}")
+    return min(k_max, n)
+
+
+def _variance_sweep(points: np.ndarray, dendrogram: Dendrogram,
+                    k_max: int) -> Iterator[float]:
+    """Yield W(1), ..., W(k_max) in one top-down walk of the dendrogram.
+
+    Going from k to k + 1 clusters undoes merge ``n - k - 1``: cluster
+    ``n + (n - k - 1)`` splits into its two children.  Each cluster's
+    sum of squared deviations is computed once, when the cluster
+    appears, with the expression :func:`within_cluster_variance` uses on
+    the same rows in the same (ascending leaf) order.  W(k) adds those
+    sums in ascending order of each cluster's smallest leaf, which is
+    the ``np.unique`` label order of ``dendrogram.cut(k)``.  Same
+    operands, same operations, same order: every W(k) is bit-identical
+    to ``within_cluster_variance(points, dendrogram.cut(k))``.
+    """
+    points = _check_points(points)
+    n = dendrogram.n_leaves
+    if points.shape[0] != n:
+        raise ValueError(f"{points.shape[0]} rows for a dendrogram of "
+                         f"{n} leaves")
+    merges = dendrogram.merges
+
+    def size(node: int) -> int:
+        return 1 if node < n else merges[node - n].size
+
+    # Lay the leaves out in tree order, so that every cluster's members
+    # are one contiguous slice of ``order``.  Children have smaller ids
+    # than their parent, so one pass downwards over the merges places
+    # every node.
+    root = 2 * n - 2
+    start = [0] * (root + 1)
+    for i in range(n - 2, -1, -1):
+        merge = merges[i]
+        start[merge.a] = start[n + i]
+        start[merge.b] = start[n + i] + size(merge.a)
+    order = np.empty(n, dtype=np.intp)
+    order[start[:n]] = np.arange(n)
+
+    def cluster(node: int) -> Tuple[int, float]:
+        """(smallest leaf, sum of squared deviations) of one cluster."""
+        if node < n:
+            return node, 0.0        # one finite row deviates by exactly 0
+        lo = start[node]
+        members = np.sort(order[lo:lo + size(node)])
+        rows = points[members]
+        return (int(members[0]),
+                float(((rows - rows.mean(axis=0)) ** 2).sum()))
+
+    active = {root: cluster(root)}
+    for k in range(1, k_max + 1):
+        if k > 1:
+            merge = merges[n - k]
+            del active[2 * n - k]
+            active[merge.a] = cluster(merge.a)
+            active[merge.b] = cluster(merge.b)
+        total = 0.0
+        for _, sse in sorted(active.values()):
+            total += sse            # not sum(): it compensates on 3.12+
+        yield total
+
+
 def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
                    k_max: Optional[int] = None) -> np.ndarray:
-    """W(k) for k = 1..k_max (within-cluster variance after each cut)."""
-    n = dendrogram.n_leaves
-    k_max = min(k_max or n, n)
-    return np.array([within_cluster_variance(points, dendrogram.cut(k))
-                     for k in range(1, k_max + 1)])
+    """W(k) for k = 1..k_max (within-cluster variance after each cut);
+    ``k_max=None`` means every k up to the number of leaves."""
+    k_max = _resolve_k_max(k_max, dendrogram.n_leaves)
+    return np.array(list(_variance_sweep(points, dendrogram, k_max)))
 
 
 #: A cut stops improving "significantly" when one more cluster removes
@@ -403,14 +472,18 @@ def elbow_k(points: np.ndarray, dendrogram: Dendrogram,
     total within-cluster variance by less than ``threshold`` of W(1).
     """
     n = dendrogram.n_leaves
+    k_max = _resolve_k_max(k_max, n)
     if n <= 2:
         return n
-    k_max = min(k_max or n, n)
-    w = variance_curve(points, dendrogram, k_max)
-    if w[0] <= 1e-12:                   # all observations identical
+    # Read the curve only as far as the decision: the values read are
+    # the same ones the full curve holds.
+    curve = _variance_sweep(points, dendrogram, k_max)
+    w1 = next(curve)
+    if w1 <= 1e-12:                     # all observations identical
         return 1
-    improvements = w[:-1] - w[1:]       # improvement of k -> k+1
-    for k in range(1, len(w) + 1):
-        if k == len(w) or improvements[k - 1] < threshold * w[0]:
+    k, w_k = 1, w1
+    for w_next in curve:
+        if w_k - w_next < threshold * w1:   # improvement of k -> k+1
             return k
-    return k_max                        # pragma: no cover - unreachable
+        k, w_k = k + 1, w_next
+    return k

@@ -51,12 +51,10 @@ def _evaluate_partition(profiles: Sequence[CodeletProfile],
                         bench: Dict[str, float]) -> float:
     """Median prediction error of one (partition, representatives)."""
     errors: List[float] = []
-    rep_of_cluster = {int(labels[i]): profiles[i].name for i in reps_idx}
-    for i, p in enumerate(profiles):
-        rep_name = rep_of_cluster[int(labels[i])]
-        rep_profile = next(q for q in profiles if q.name == rep_name)
-        predicted = (p.ref_seconds * bench[rep_name]
-                     / rep_profile.ref_seconds)
+    rep_of_cluster = {int(labels[i]): i for i in reps_idx}
+    for p, label in zip(profiles, labels.tolist()):
+        rep = profiles[rep_of_cluster[label]]
+        predicted = p.ref_seconds * bench[rep.name] / rep.ref_seconds
         errors.append(percent_error(predicted, real[p.name]))
     return float(np.median(errors))
 

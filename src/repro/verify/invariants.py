@@ -20,7 +20,9 @@ Registered invariants (see ``repro verify --list``):
     With K = N well-behaved codelets the model matrix is the identity,
     so extrapolation ``t_all = M · t_repr`` is exact — zero error.
 ``variance-monotone``
-    Total within-cluster variance is non-increasing as K grows.
+    Total within-cluster variance is non-increasing as K grows, and the
+    top-down sweep behind ``variance_curve`` equals the per-cut
+    ``within_cluster_variance`` recompute exactly at every K.
 ``representative-membership``
     Every representative is a member of the cluster it represents, and
     cluster assignments are a consistent partition of the profiles.
@@ -91,7 +93,7 @@ from ..codelets.measurement import Measurer
 from ..codelets.profiling import ProfilingReport, profile_codelets
 from ..core.clustering import (Dendrogram, elbow_k, linkage,
                                linkage_reference, variance_curve,
-                               ward_linkage)
+                               ward_linkage, within_cluster_variance)
 from ..core.features import FeatureMatrix
 from ..core.ga import GAConfig
 from ..core.pipeline import (BenchmarkReducer, PipelineHooks,
@@ -458,11 +460,19 @@ def check_exact_when_k_equals_n(ctx: VerifyContext) -> None:
 @invariant(
     "variance-monotone",
     "total within-cluster variance is non-increasing as K grows "
-    "along the dendrogram cuts")
+    "along the dendrogram cuts, and the top-down sweep equals the "
+    "per-cut recompute exactly")
 def check_variance_monotone(ctx: VerifyContext) -> None:
     reduced = ctx.reduced
     rows = ctx.artifacts.cluster_rows
     w = variance_curve(rows, reduced.dendrogram)
+    for k, swept in enumerate(w, start=1):
+        recomputed = within_cluster_variance(
+            rows, reduced.dendrogram.cut(k))
+        if swept != recomputed:
+            raise InvariantViolation(
+                f"variance-monotone: the sweep's W({k}) = {swept!r} "
+                f"differs from the recompute {recomputed!r}")
     scale = max(float(w[0]), 1e-12)
     for k in range(1, len(w)):
         if w[k] > w[k - 1] + 1e-9 * scale:

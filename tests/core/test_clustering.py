@@ -1,15 +1,20 @@
 """Tests for the from-scratch Ward clustering, cross-checked against
 scipy's reference implementation and via structural properties."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from repro.core.clustering import (Dendrogram, Merge, elbow_k,
-                                   variance_curve, ward_linkage,
+from repro.codelets import Measurer
+from repro.core import clustering
+from repro.core.clustering import (ELBOW_THRESHOLD, Dendrogram, Merge,
+                                   elbow_k, variance_curve, ward_linkage,
                                    within_cluster_variance)
+from repro.core.pipeline import BenchmarkReducer
 
 
 def _random_points(n, d, seed):
@@ -149,6 +154,143 @@ class TestVarianceAndElbow:
         loose = elbow_k(pts, dg, threshold=0.05)
         tight = elbow_k(pts, dg, threshold=0.001)
         assert tight >= loose
+
+
+def _recomputed_curve(points, dg, k_max=None):
+    """The oracle: cut at every k and recompute W(k) from scratch."""
+    top = dg.n_leaves if k_max is None else min(k_max, dg.n_leaves)
+    return np.array([within_cluster_variance(points, dg.cut(k))
+                     for k in range(1, top + 1)])
+
+
+def _elbow_on_curve(w, threshold=ELBOW_THRESHOLD):
+    """Thorndike's rule read off a whole precomputed curve."""
+    if w[0] <= 1e-12:
+        return 1
+    improvements = w[:-1] - w[1:]
+    for k in range(1, len(w) + 1):
+        if k == len(w) or improvements[k - 1] < threshold * w[0]:
+            return k
+
+
+@pytest.fixture(scope="module")
+def suite_rows(nr_suite, nas_suite):
+    """Normalized Step C feature matrices of the paper suites."""
+    return {suite.name: BenchmarkReducer(suite, Measurer())
+            .feature_matrix().normalized()
+            for suite in (nr_suite, nas_suite)}
+
+
+K_MAXES = [None, 1, 2, 24]
+
+
+class TestExactSweep:
+    """``variance_curve`` sweeps the dendrogram top-down, scoring each
+    cluster once; every W(k) must equal the per-k recompute exactly."""
+
+    @given(n=st.integers(1, 30), d=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1),
+           log_scale=st.integers(-8, 8),
+           k_max=st.sampled_from(K_MAXES))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_recompute(self, n, d, seed, log_scale, k_max):
+        pts = _random_points(n, d, seed) * 10.0 ** log_scale
+        dg = ward_linkage(pts)
+        assert np.array_equal(variance_curve(pts, dg, k_max),
+                              _recomputed_curve(pts, dg, k_max))
+
+    @pytest.mark.parametrize("k_max", K_MAXES)
+    def test_integer_tie_lattice(self, k_max):
+        pts = np.random.default_rng(64).integers(
+            0, 3, size=(64, 4)).astype(float)
+        dg = ward_linkage(pts)
+        assert np.array_equal(variance_curve(pts, dg, k_max),
+                              _recomputed_curve(pts, dg, k_max))
+
+    @pytest.mark.parametrize("k_max", K_MAXES)
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_scales(self, scale, k_max):
+        pts = _random_points(20, 3, 17) * scale
+        dg = ward_linkage(pts)
+        assert np.array_equal(variance_curve(pts, dg, k_max),
+                              _recomputed_curve(pts, dg, k_max))
+
+    @pytest.mark.parametrize("k_max", K_MAXES)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_rows(self, n, k_max):
+        pts = _random_points(n, 3, n)
+        dg = ward_linkage(pts)
+        assert np.array_equal(variance_curve(pts, dg, k_max),
+                              _recomputed_curve(pts, dg, k_max))
+
+    @pytest.mark.parametrize("k_max", K_MAXES)
+    @pytest.mark.parametrize("suite,rows", [("NR", 28), ("NAS", 67)])
+    def test_paper_suite_features(self, suite_rows, suite, rows, k_max):
+        pts = suite_rows[suite]
+        assert pts.shape[0] == rows
+        dg = ward_linkage(pts)
+        assert np.array_equal(variance_curve(pts, dg, k_max),
+                              _recomputed_curve(pts, dg, k_max))
+        assert elbow_k(pts, dg, k_max) == \
+            _elbow_on_curve(_recomputed_curve(pts, dg, k_max))
+
+    @given(n=st.integers(3, 30), seed=st.integers(0, 2 ** 32 - 1),
+           k_max=st.sampled_from(K_MAXES),
+           threshold=st.sampled_from([0.001, ELBOW_THRESHOLD, 0.05]))
+    @settings(max_examples=40, deadline=None)
+    def test_elbow_stops_at_the_full_curve_decision(self, n, seed, k_max,
+                                                    threshold):
+        pts = _random_points(n, 4, seed)
+        dg = ward_linkage(pts)
+        assert elbow_k(pts, dg, k_max, threshold) == _elbow_on_curve(
+            _recomputed_curve(pts, dg, k_max), threshold)
+
+    def test_elbow_neither_cuts_nor_recomputes(self, monkeypatch):
+        calls = Counter()
+        cut, recompute = Dendrogram.cut, clustering.within_cluster_variance
+
+        def counted_cut(self, k):
+            calls["cut"] += 1
+            return cut(self, k)
+
+        def counted_recompute(points, labels):
+            calls["within_cluster_variance"] += 1
+            return recompute(points, labels)
+
+        monkeypatch.setattr(Dendrogram, "cut", counted_cut)
+        monkeypatch.setattr(clustering, "within_cluster_variance",
+                            counted_recompute)
+        pts = _random_points(28, 14, 5)
+        dg = ward_linkage(pts)
+        elbow_k(pts, dg, k_max=24)
+        variance_curve(pts, dg, k_max=24)
+        assert calls == Counter()
+        # The counters do see the oracle's calls.
+        dg.cut(3)
+        clustering.within_cluster_variance(pts, np.zeros(28, dtype=int))
+        assert calls == Counter(cut=1, within_cluster_variance=1)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_k_max_below_one_rejected(self, bad):
+        pts = _random_points(10, 3, 4)
+        dg = ward_linkage(pts)
+        message = f"k_max must be >= 1 or None, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            variance_curve(pts, dg, k_max=bad)
+        with pytest.raises(ValueError, match=message):
+            elbow_k(pts, dg, k_max=bad)
+
+    def test_k_max_none_means_every_k(self):
+        pts = _random_points(10, 3, 4)
+        dg = ward_linkage(pts)
+        assert len(variance_curve(pts, dg, k_max=None)) == 10
+        assert elbow_k(pts, dg, k_max=None) == elbow_k(pts, dg, k_max=10)
+
+    def test_row_count_must_match_the_dendrogram(self):
+        pts = _random_points(10, 3, 4)
+        dg = ward_linkage(pts)
+        with pytest.raises(ValueError, match="9 rows for a dendrogram"):
+            variance_curve(pts[:9], dg)
 
 
 class TestCutChainRegression:
