@@ -6,7 +6,7 @@ reads the reference machine's counters) and that
 microarchitecture-independent metrics in the style of Hoste & Eeckhout
 could generalise the method to very different targets.  This module
 implements that extension: a feature set computed *purely from the IR*
-— no compiler, no machine model, no counters — covering
+— no lowering, no machine model, no counters — covering
 
 * operation mix (add/mul/div/transcendental/int fractions),
 * data types and precision,
@@ -14,7 +14,8 @@ implements that extension: a feature set computed *purely from the IR*
 * memory behaviour (footprints, stride mix, spatial/temporal locality
   scores, reuse across loop levels),
 * control structure (loop depth, trip counts) and dependence shape
-  (reductions, recurrences).
+  (reductions, recurrences, as the compiler's ISA-independent
+  :func:`~repro.isa.compiler.analyze_dependences` classifies them).
 
 The what-if experiment (:mod:`repro.experiments.whatif`) compares
 clustering on these features against the reference-trained set when
@@ -27,11 +28,12 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
-from ..ir.expr import BinOp, Call, Expr, Load, walk_expr
+from ..ir.dependence import AnalysisContext
+from ..ir.expr import BinOp, Call, Expr, walk_expr
 from ..ir.kernel import Kernel
 from ..ir.stmt import Store, walk_statements
 from ..ir.traverse import analyze_nests
-from ..isa.deps import analyze_dependences
+from ..isa.compiler import analyze_dependences
 
 
 @dataclass(frozen=True)
@@ -169,12 +171,14 @@ def analyze_arch_independent(kernel: Kernel) -> ArchIndependentProfile:
             int_bytes += arr.nbytes
     total_bytes = max(1.0, sp_bytes + dp_bytes + int_bytes)
 
-    # --- dependence shape (legality is architecture independent) ---
+    # --- dependence shape: the vectorizer's own classification, which
+    # comes before any ISA choice (legality is architecture independent)
     reductions = recurrences = 0
     rec_distance = 0.0
     vectorizable_w = 0.0
+    ctx = AnalysisContext(kernel)
     for nest, w in zip(nests, weights):
-        deps = analyze_dependences(nest.innermost)
+        deps = analyze_dependences(ctx, nest.innermost)
         if deps.reductions:
             reductions += 1
         if deps.recurrences:

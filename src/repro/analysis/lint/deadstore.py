@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ...ir.dependence import AnalysisContext
 from ...ir.expr import AffineIndex
 from ...ir.stmt import Block, Loop, Store, walk_statements
-from .context import AnalysisContext
 from .diagnostics import Diagnostic, Severity
 from .registry import lint_pass, make_diagnostic
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .context import AnalysisContext
-from .dependence import FREE, format_distance
+from ...ir.dependence import FREE, AnalysisContext, format_distance
 from .diagnostics import Diagnostic, Severity
 from .registry import lint_pass, make_diagnostic
 

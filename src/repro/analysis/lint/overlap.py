@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import List
 
-from .context import AnalysisContext
-from .dependence import FREE, format_distance, test_dependence
+from ...ir.dependence import (FREE, AnalysisContext, format_distance,
+                              test_dependence)
 from .diagnostics import Diagnostic, Severity
 from .registry import lint_pass, make_diagnostic
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ...ir.dependence import AnalysisContext
 from ...ir.kernel import Kernel
-from .context import AnalysisContext
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 
 PassFn = Callable[[AnalysisContext], List[Diagnostic]]

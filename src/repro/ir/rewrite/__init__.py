@@ -2,8 +2,9 @@
 
 A registry of classic loop transformations — interchange, strip-mine,
 tile, fuse, unroll — where every application is gated by a legality
-verdict derived from the exact affine dependence solver shared with
-``repro.analysis.lint``:
+verdict derived from the exact affine dependence solver of
+:mod:`repro.ir.dependence`, shared with the lint passes and the
+compiler's vectorizer:
 
 * :mod:`~repro.ir.rewrite.substitute` — mechanical IR surgery
   (substitution, perfect-nest detection, nest rebuilding);
@@ -16,9 +17,8 @@ verdict derived from the exact affine dependence solver shared with
 * :mod:`~repro.ir.rewrite.canary` — pinned legality expectations the
   verify invariants replay.
 
-Deliberately *not* imported from ``repro.ir`` itself: this package
-depends on ``repro.analysis.lint`` (which depends on the IR core), so
-it must stay a leaf.  See ``docs/TRANSFORM.md``.
+Deliberately *not* imported from ``repro.ir`` itself, so building
+kernels never loads the rewrites.  See ``docs/TRANSFORM.md``.
 """
 
 from .canary import (FORCED_DIVERGENCE_CANARY, TRANSFORM_CANARIES,

@@ -1,8 +1,9 @@
 """Dependence-based legality analysis for loop rewrites.
 
 Every verdict here is derived from the exact affine dependence solver
-(:mod:`repro.analysis.lint.dependence`) through the direction-vector
-matrices cached on :class:`~repro.analysis.lint.context.AnalysisContext`.
+(:mod:`repro.ir.dependence`, shared with the compiler's vectorizer and
+the lint passes) through the direction-vector matrices cached on
+:class:`~repro.ir.dependence.AnalysisContext`.
 The textbook rules, in the form implemented:
 
 * **Permutation / interchange** — a reordering of a perfect nest is
@@ -32,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-from ...analysis.lint.context import AccessSite, AnalysisContext
-from ...analysis.lint.dependence import (DependenceEdge, direction_vector,
-                                         test_dependence)
+from ..dependence import (AccessSite, AnalysisContext, DependenceEdge,
+                          concrete_lex_sign, direction_vector,
+                          test_dependence)
 from ..expr import as_affine
 from ..stmt import Loop
 from .substitute import substitute_affine
@@ -99,15 +100,6 @@ def _format_blocking(ctx: AnalysisContext, edge: DependenceEdge,
             f"({', '.join(vector)}) over {labels}")
 
 
-def _lex_sign(vector: Tuple[str, ...]) -> int:
-    for d in vector:
-        if d == "<":
-            return 1
-        if d == ">":
-            return -1
-    return 0
-
-
 def _permutation_conflict(ctx: AnalysisContext, chain: Sequence[Loop],
                           perm: Sequence[int]):
     """First dependence whose lex sign flips under ``perm``, if any.
@@ -118,10 +110,10 @@ def _permutation_conflict(ctx: AnalysisContext, chain: Sequence[Loop],
     negative result would run the dependence backwards)."""
     for edge, _ in ctx.direction_matrix(tuple(chain)):
         for conc in edge.concrete_vectors():
-            if _lex_sign(conc) == 0:
+            if concrete_lex_sign(conc) == 0:
                 continue                    # loop-independent: unaffected
             permuted = tuple(conc[p] for p in perm)
-            if _lex_sign(permuted) < 0:
+            if concrete_lex_sign(permuted) < 0:
                 return edge, conc
     return None
 

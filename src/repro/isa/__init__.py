@@ -7,11 +7,11 @@ execution model (:mod:`repro.machine`).
 """
 
 from .compiler import (AVX, SCALAR, SSE2, SSE42, CompiledKernel,
-                       CompiledNest, CompilerOptions, TargetISA,
+                       CompiledNest, CompilerOptions, DepInfo, Recurrence,
+                       Reduction, TargetISA, analyze_dependences,
                        clear_lowering_memo, compile_kernel,
                        lowering_memo_keys, lowering_memo_stats,
                        recompile_scalar)
-from .deps import DepInfo, Recurrence, Reduction, analyze_dependences
 from .instructions import (BINOP_CLASS, FP_ARITH, INTRINSIC_EXPANSION,
                            MEMORY_OPS, Instr, OpClass, merge_instrs,
                            sse_width, summarize)

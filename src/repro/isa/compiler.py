@@ -3,7 +3,18 @@
 This plays the role of ``icc -O3 [-xsse4.2]`` in the paper.  Per
 innermost loop it
 
-1. runs dependence analysis (:mod:`repro.isa.deps`),
+1. classifies the loop-carried dependences (:func:`analyze_dependences`,
+   a query on the shared solver of :mod:`repro.ir.dependence`, one
+   :class:`~repro.ir.dependence.AnalysisContext` per kernel):
+
+   * **reductions** — a loop-invariant location updated through an
+     associative operator (``s = s + x[i]``).  Vectorizable with
+     partial sums (icc does this at ``-O3``), but the combining op
+     forms a latency chain that in-order cores cannot hide;
+   * **recurrences** — a location written at iteration ``i`` and read
+     at iteration ``i + d`` (``x[i] = a * x[i-1] + b``, Table 3's
+     "first order recurrence" rows).  Not vectorizable;
+
 2. decides vectorization (legality from dependences, profitability from
    the access-stride mix and trip count — the heuristics responsible for
    the paper's "codelets compiled differently inside and outside the
@@ -20,16 +31,17 @@ analyzer and the machine execution model consume.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..ir.dependence import (FREE, AccessSite, AnalysisContext,
+                             band_dependence, is_self_load)
 from ..ir.expr import BinOp, Call, Expr, Load, walk_expr
 from ..ir.fingerprint import kernel_fingerprint
 from ..ir.kernel import Kernel
-from ..ir.stmt import Store, walk_statements
+from ..ir.stmt import Loop, Store
 from ..ir.traverse import Access, NestAnalysis, analyze_nests
-from ..ir.types import DP, DType, INT32, SP
-from .deps import DepInfo, analyze_dependences
+from ..ir.types import DType, INT32
 from .instructions import (BINOP_CLASS, INTRINSIC_EXPANSION, Instr, OpClass,
                            merge_instrs, sse_width, summarize)
 
@@ -71,6 +83,156 @@ class CompilerOptions:
     force_scalar: bool = False
     min_vector_trip_factor: int = 2      # need trip >= factor * VF
     unit_stride_profitability: float = 0.5
+
+
+# ---------------------------------------------------------------------------
+# Innermost-loop dependence classification
+# ---------------------------------------------------------------------------
+
+#: Operators through which a self-update can be reassociated into
+#: partial accumulators.  ``sub`` qualifies when the accumulator is the
+#: left operand (a running difference is a negated sum).
+_ASSOCIATIVE = ("add", "sub", "mul", "min", "max")
+
+Chain = Tuple[Tuple[OpClass, DType], ...]
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """A vectorizable self-accumulation."""
+
+    array_name: str
+    chain_ops: Chain                    # latency chain per update
+
+
+@dataclass(frozen=True)
+class Recurrence:
+    """A loop-carried flow dependence that forbids vectorization."""
+
+    array_name: str
+    distance: int
+    chain_ops: Chain                    # ops on the dep cycle
+
+
+@dataclass(frozen=True)
+class DepInfo:
+    """Dependence summary of one innermost loop."""
+
+    reductions: Tuple[Reduction, ...]
+    recurrences: Tuple[Recurrence, ...]
+
+    @property
+    def vectorizable(self) -> bool:
+        return not self.recurrences
+
+    @property
+    def has_reduction(self) -> bool:
+        return bool(self.reductions)
+
+    def chain_ops(self) -> Chain:
+        """The longest (by op count) loop-carried latency chain."""
+        chains = [r.chain_ops for r in self.recurrences]
+        chains += [r.chain_ops for r in self.reductions]
+        if not chains:
+            return ()
+        return max(chains, key=len)
+
+
+def _op_class(node: Expr) -> Tuple[OpClass, DType]:
+    """Latency-chain entry of one operator node."""
+    if isinstance(node, BinOp):
+        return BINOP_CLASS[node.op], node.dtype
+    # A value passing through an intrinsic is not a simple
+    # accumulation; approximate the chain with a multiply.
+    return OpClass.FP_MUL, node.dtype
+
+
+def _self_update_path(store: Store) -> Optional[Tuple[Expr, ...]]:
+    """Operator nodes from the right-hand side's root down to its first
+    (left-to-right) read of the stored element; None if it has none."""
+
+    def search(expr: Expr) -> Optional[Tuple[Expr, ...]]:
+        if isinstance(expr, Load):
+            return () if is_self_load(store, expr) else None
+        if isinstance(expr, BinOp):
+            children = (expr.left, expr.right)
+        elif isinstance(expr, Call):
+            children = expr.args
+        else:
+            return None
+        for child in children:
+            below = search(child)
+            if below is not None:
+                return (expr,) + below
+        return None
+
+    return search(store.value)
+
+
+def _expr_op_chain(expr: Expr) -> Chain:
+    """All arithmetic ops of an expression (conservative cycle estimate)."""
+    return tuple(_op_class(node) for node in walk_expr(expr)
+                 if isinstance(node, (BinOp, Call)))
+
+
+def analyze_dependences(ctx: AnalysisContext, inner: Loop) -> DepInfo:
+    """Classify the loop-carried dependences of innermost loop ``inner``.
+
+    A query on the shared solver: a store that is invariant in ``inner``
+    and reads its own element (:meth:`AnalysisContext.is_reduction_store`)
+    is a reduction when every operator on the path to that read
+    reassociates, else a distance-1 recurrence.  Any other store is a
+    recurrence with each same-array read whose distance over the band
+    ``(inner,)`` alone — outer iterations fixed — is exact and positive.
+    Pairs that are not uniformly generated never block
+    (``docs/MODELING.md`` §2).
+    """
+    inner_var = inner.var.name
+    sites = ctx.sites_in(inner)
+    load_sites = [s for s in sites if not s.is_store]
+    reductions: List[Reduction] = []
+    recurrences: List[Recurrence] = []
+
+    for site in sites:
+        if not site.is_store:
+            continue
+        store, _ = ctx.stores[site.store_ordinal]
+        invariant = all(idx.coefficient(inner_var) == 0
+                        for idx in site.indices)
+        if invariant and ctx.is_reduction_store(store):
+            path = _self_update_path(store)
+            chain = tuple(_op_class(node) for node in path)
+            if all(isinstance(node, BinOp) and node.op in _ASSOCIATIVE
+                   for node in path):
+                reductions.append(Reduction(store.array.name, chain))
+            else:
+                recurrences.append(Recurrence(store.array.name, 1, chain))
+            continue
+        # Cross-iteration flow dependences against every read of the
+        # stored array in the body.
+        for load_site in load_sites:
+            if load_site.array.name != site.array.name:
+                continue
+            dep = band_dependence(ctx, site, load_site, (inner,))
+            if dep is None:
+                continue
+            distance, = dep.distance
+            if distance is not FREE and distance > 0:
+                reader, _ = ctx.stores[load_site.store_ordinal]
+                recurrences.append(Recurrence(
+                    store.array.name, distance,
+                    _expr_op_chain(reader.value)))
+
+    # Deduplicate recurrences by (array, distance).
+    unique: Dict[Tuple[str, int], Recurrence] = {}
+    for rec in recurrences:
+        unique.setdefault((rec.array_name, rec.distance), rec)
+    return DepInfo(tuple(reductions), tuple(unique.values()))
+
+
+# ---------------------------------------------------------------------------
+# Compiled form
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -149,16 +311,15 @@ def _dominant_dtype(inner_stores: List[Store]) -> DType:
     return INT32
 
 
-def _dedup_loads(inner_stores: List[Store]) -> List[Load]:
-    """Loads of the body after common-subexpression elimination."""
+def _dedup_loads(sites: Sequence[AccessSite]) -> List[AccessSite]:
+    """Load sites of the body after common-subexpression elimination."""
     seen = set()
-    out: List[Load] = []
-    for store in inner_stores:
-        for load in store.loads():
-            key = (load.array.name, load.indices)
-            if key not in seen:
-                seen.add(key)
-                out.append(load)
+    out: List[AccessSite] = []
+    for site in sites:
+        key = (site.array.name, site.indices)
+        if not site.is_store and key not in seen:
+            seen.add(key)
+            out.append(site)
     return out
 
 
@@ -189,7 +350,8 @@ def _unit_stride_fraction(accesses: List[Access], inner_var: str) -> float:
     return unit / len(moving)
 
 
-def _memory_instrs(load_sites: List[Load], store_sites: List[Store],
+def _memory_instrs(load_sites: List[AccessSite],
+                   store_sites: List[AccessSite],
                    inner_var: str, inner_trip: float, vf: int,
                    vectorized: bool) -> List[Instr]:
     """Loads/stores per vector iteration, modelling hoisting and
@@ -291,13 +453,15 @@ def compile_kernel(kernel: Kernel,
 def _lower(kernel: Kernel, options: CompilerOptions) -> CompiledKernel:
     """The actual lowering pipeline (un-memoized)."""
     nests = analyze_nests(kernel)
+    ctx = AnalysisContext(kernel)
     compiled: List[CompiledNest] = []
     for nest in nests:
         inner = nest.innermost
         inner_var = nest.inner_var
-        inner_stores = [s for s, _ in walk_statements(inner)
-                        if isinstance(s, Store)]
-        deps = analyze_dependences(inner)
+        sites = ctx.sites_in(inner)
+        store_sites = [s for s in sites if s.is_store]
+        inner_stores = [ctx.stores[s.store_ordinal][0] for s in store_sites]
+        deps = analyze_dependences(ctx, inner)
         dtype = _dominant_dtype(inner_stores)
 
         vf = sse_width(dtype, options.isa.vec_bits)
@@ -314,8 +478,8 @@ def _lower(kernel: Kernel, options: CompilerOptions) -> CompiledKernel:
 
         width = vf if vectorized else 1
         body: List[Instr] = []
-        loads = _dedup_loads(inner_stores)
-        body += _memory_instrs(loads, inner_stores, inner_var,
+        loads = _dedup_loads(sites)
+        body += _memory_instrs(loads, store_sites, inner_var,
                                nest.inner_trip, vf, vectorized)
         for store in inner_stores:
             body += _arith_instrs(store.value, width)

@@ -11,9 +11,8 @@ from .architecture import (ALL_ARCHITECTURES, ATOM, CORE2,
                            CacheLevel, architecture_by_name, table1_rows)
 from .cache_model import (AccessGroup, CacheProfile, LevelStats,
                           analyze_cache, collect_groups, lines_touched)
-from .cache_sim import (SIM_BACKENDS, HierarchySim, SetAssociativeCache,
-                        generate_trace, simulate_cache,
-                        simulate_cache_reference)
+from .cache_sim import (HierarchySim, SetAssociativeCache, generate_trace,
+                        simulate_cache, simulate_cache_reference)
 from .cache_sim_vec import (BatchedHierarchySim, CompiledTrace,
                             compile_address_stream, simulate_cache_fast)
 from .counters import DynamicMetrics, derive_metrics
@@ -31,7 +30,7 @@ __all__ = [
     "CacheProfile", "LevelStats", "AccessGroup", "analyze_cache",
     "collect_groups", "lines_touched",
     "HierarchySim", "SetAssociativeCache", "generate_trace",
-    "simulate_cache", "simulate_cache_reference", "SIM_BACKENDS",
+    "simulate_cache", "simulate_cache_reference",
     "BatchedHierarchySim", "CompiledTrace", "compile_address_stream",
     "simulate_cache_fast",
     "DynamicMetrics", "derive_metrics",

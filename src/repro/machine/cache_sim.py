@@ -15,8 +15,8 @@ Two implementations exist (docs/PERFORMANCE.md):
   per-set LRU — proven bit-identical by the ``cache-sim-equivalence``
   verify invariant and ``tests/machine/test_cache_sim_equiv.py``.
 
-:func:`simulate_cache` dispatches between them (``backend=`` selection,
-default the fast path).
+:func:`simulate_cache` is the entry point the platform uses; it runs the
+fast path.
 
 Simulation semantics — shared by both paths, pinned by the equivalence
 suite:
@@ -233,47 +233,28 @@ def simulate_cache_reference(kernel: Kernel, arch: Architecture,
     return sim.profile()
 
 
-#: ``simulate_cache`` backend names.
-SIM_BACKENDS = ("auto", "fast", "reference")
-
-
 def simulate_cache(kernel: Kernel, arch: Architecture,
                    warmup_invocations: int = 1,
                    max_accesses_per_invocation: Optional[int] = None,
-                   backend: str = "auto",
                    batch_skew: bool = False) -> CacheProfile:
     """Simulate one measured invocation of ``kernel`` on ``arch``.
 
-    ``backend`` selects the implementation: ``"fast"`` (vectorized
-    address-stream compilation + batched LRU), ``"reference"`` (the
-    statement interpreter above), or ``"auto"`` (the fast path — the
-    two are proven bit-identical, so auto always takes the cheap one).
-    ``batch_skew`` exists only for the ``sim-batch-skew`` planted
-    defect of the verify harness and must stay False in production.
+    Runs the vectorized path (address-stream compilation + batched LRU,
+    bit-identical to :func:`simulate_cache_reference`).  ``batch_skew``
+    exists only for the ``sim-batch-skew`` planted defect of the verify
+    harness and must stay False in production.
 
-    Emits ``sim.accesses`` (measured trace length) and
-    ``sim.fast_path`` obs counters into the active observation.
+    Emits the ``sim.accesses`` obs counter (measured trace length) into
+    the active observation.
     """
-    if backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown cache-sim backend {backend!r}; "
-            f"choose from {SIM_BACKENDS}")
-    use_fast = backend in ("auto", "fast")
-    if use_fast:
-        from .cache_sim_vec import simulate_cache_fast
-        profile = simulate_cache_fast(
-            kernel, arch, warmup_invocations=warmup_invocations,
-            max_accesses_per_invocation=max_accesses_per_invocation,
-            batch_skew=batch_skew)
-    else:
-        profile = simulate_cache_reference(
-            kernel, arch, warmup_invocations=warmup_invocations,
-            max_accesses_per_invocation=max_accesses_per_invocation)
+    from .cache_sim_vec import simulate_cache_fast
+    profile = simulate_cache_fast(
+        kernel, arch, warmup_invocations=warmup_invocations,
+        max_accesses_per_invocation=max_accesses_per_invocation,
+        batch_skew=batch_skew)
 
     from ..obs import active_observation
     obs = active_observation()
     if obs is not None:
         obs.metrics.counter("sim.accesses").inc(int(profile.accesses))
-        if use_fast:
-            obs.metrics.counter("sim.fast_path").inc()
     return profile

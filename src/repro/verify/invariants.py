@@ -22,7 +22,9 @@ Registered invariants (see ``repro verify --list``):
 ``variance-monotone``
     Total within-cluster variance is non-increasing as K grows, and the
     top-down sweep behind ``variance_curve`` equals the per-cut
-    ``within_cluster_variance`` recompute exactly at every K.
+    ``within_cluster_variance`` recompute exactly at every K — on the
+    seed run's rows and on a 64-row tie-heavy lattice matrix, where
+    the order of W(k)'s additions shows.
 ``representative-membership``
     Every representative is a member of the cluster it represents, and
     cluster assignments are a consistent partition of the profiles.
@@ -463,23 +465,33 @@ def check_exact_when_k_equals_n(ctx: VerifyContext) -> None:
     "along the dendrogram cuts, and the top-down sweep equals the "
     "per-cut recompute exactly")
 def check_variance_monotone(ctx: VerifyContext) -> None:
-    reduced = ctx.reduced
-    rows = ctx.artifacts.cluster_rows
-    w = variance_curve(rows, reduced.dendrogram)
+    # The seed run clusters a handful of rows, too few for the order of
+    # W(k)'s additions to change a bit; a 64-row small-integer lattice
+    # (many tied, equal-SSE clusters) makes a reordered sum visible.
+    lattice = _feature_matrix(ctx.seed, 64, 4, "lattice")
+    for label, rows, dendrogram in (
+            ("seed run", ctx.artifacts.cluster_rows, ctx.reduced.dendrogram),
+            ("64-row lattice", lattice, ward_linkage(lattice))):
+        _check_variance_curve(label, rows, dendrogram)
+
+
+def _check_variance_curve(label: str, rows: np.ndarray,
+                          dendrogram: Dendrogram) -> None:
+    w = variance_curve(rows, dendrogram)
     for k, swept in enumerate(w, start=1):
-        recomputed = within_cluster_variance(
-            rows, reduced.dendrogram.cut(k))
+        recomputed = within_cluster_variance(rows, dendrogram.cut(k))
         if swept != recomputed:
             raise InvariantViolation(
-                f"variance-monotone: the sweep's W({k}) = {swept!r} "
-                f"differs from the recompute {recomputed!r}")
+                f"variance-monotone: on the {label} rows the sweep's "
+                f"W({k}) = {swept!r} differs from the recompute "
+                f"{recomputed!r}")
     scale = max(float(w[0]), 1e-12)
     for k in range(1, len(w)):
         if w[k] > w[k - 1] + 1e-9 * scale:
             raise InvariantViolation(
-                "variance-monotone: within-cluster variance increased "
-                f"from W({k}) = {w[k - 1]:.6g} to W({k + 1}) = "
-                f"{w[k]:.6g}")
+                f"variance-monotone: on the {label} rows within-cluster "
+                f"variance increased from W({k}) = {w[k - 1]:.6g} to "
+                f"W({k + 1}) = {w[k]:.6g}")
 
 
 @invariant(

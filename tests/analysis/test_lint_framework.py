@@ -5,15 +5,15 @@ import json
 
 import pytest
 
-from repro.analysis.lint import (CANARIES, AnalysisContext, Baseline,
-                                 Dependence, LintReport, PASS_REGISTRY,
-                                 Severity, Suppression, apply_baseline,
-                                 check_canaries, describe_passes,
-                                 lint_kernel, lint_pass, prune_baseline,
-                                 sort_diagnostics)
-# Aliased: pytest would otherwise collect the imported name as a test.
-from repro.analysis.lint import test_dependence as dependence_between
+from repro.analysis.lint import (CANARIES, Baseline, LintReport,
+                                 PASS_REGISTRY, Severity, Suppression,
+                                 apply_baseline, check_canaries,
+                                 describe_passes, lint_kernel, lint_pass,
+                                 prune_baseline, sort_diagnostics)
 from repro.ir import DP, KernelBuilder
+from repro.ir.dependence import AnalysisContext, Dependence
+# Aliased: pytest would otherwise collect the imported name as a test.
+from repro.ir.dependence import test_dependence as dependence_between
 
 pytestmark = pytest.mark.lint
 

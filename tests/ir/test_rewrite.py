@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.analysis.lint import AnalysisContext
 from repro.ir import DP, KernelBuilder
+from repro.ir.dependence import AnalysisContext
 from repro.ir.interp import run_kernel
 from repro.ir.rewrite import (FORCED_DIVERGENCE_CANARY, REWRITE_REGISTRY,
                               TRANSFORM_CANARIES, PassSpec,

@@ -1,19 +1,21 @@
-"""Tests for innermost-loop dependence analysis."""
+"""Tests for the compiler's innermost-loop dependence classification."""
 
 from repro.ir import DP, KernelBuilder, fabs, fmax
+from repro.ir.dependence import AnalysisContext, direction_vector
 from repro.isa import OpClass, analyze_dependences
 
 
-def _inner(kernel):
+def _deps(kernel):
+    """Classify the first innermost loop, as the compiler does."""
     loop = kernel.outer_loops[0]
     while not loop.is_innermost():
         loop = loop.inner_loops()[0]
-    return loop
+    return analyze_dependences(AnalysisContext(kernel), loop)
 
 
 class TestReductions:
     def test_sum_reduction_detected(self, dot_kernel):
-        deps = analyze_dependences(_inner(dot_kernel))
+        deps = _deps(dot_kernel)
         assert deps.has_reduction
         assert deps.vectorizable
         assert deps.reductions[0].array_name == "s"
@@ -25,7 +27,7 @@ class TestReductions:
         m = b.scalar("m", DP)
         with b.loop(0, 64) as i:
             b.assign(m.value(), fmax(m.value(), fabs(x[i])))
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         assert deps.has_reduction
         assert deps.vectorizable
 
@@ -35,7 +37,7 @@ class TestReductions:
         s = b.scalar("s", DP)
         with b.loop(0, 64) as i:
             b.assign(s.value(), s.value() / x[i])
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         assert not deps.has_reduction
         assert not deps.vectorizable
 
@@ -47,14 +49,14 @@ class TestReductions:
         with b.loop(0, 64) as i:
             b.assign(s0.value(), s0.value() + x[i])
             b.assign(s1.value(), s1.value() + x[i] * x[i])
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         assert len(deps.reductions) == 2
         assert deps.vectorizable
 
 
 class TestRecurrences:
     def test_first_order_recurrence(self, recurrence_kernel):
-        deps = analyze_dependences(_inner(recurrence_kernel))
+        deps = _deps(recurrence_kernel)
         assert not deps.vectorizable
         rec, = deps.recurrences
         assert rec.array_name == "u"
@@ -65,7 +67,7 @@ class TestRecurrences:
         x = b.array("x", (64,), DP)
         with b.loop(2, 64) as i:
             b.assign(x[i], x[i - 2] * 0.5)
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         rec, = deps.recurrences
         assert rec.distance == 2
 
@@ -75,17 +77,17 @@ class TestRecurrences:
         x = b.array("x", (64,), DP)
         with b.loop(0, 63) as i:
             b.assign(x[i], x[i + 1])
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         assert deps.vectorizable
 
     def test_independent_arrays(self, saxpy_kernel):
-        deps = analyze_dependences(_inner(saxpy_kernel))
+        deps = _deps(saxpy_kernel)
         assert deps.vectorizable
         assert not deps.recurrences
 
     def test_outer_carried_dep_does_not_block_inner(self, stencil_kernel):
         # The 5-point stencil writes v and reads u: no inner-loop dep.
-        deps = analyze_dependences(_inner(stencil_kernel))
+        deps = _deps(stencil_kernel)
         assert deps.vectorizable
 
     def test_chain_ops_reported(self):
@@ -95,7 +97,7 @@ class TestRecurrences:
         d = b.array("d", (64,), DP)
         with b.loop(1, 64) as i:
             b.assign(x[i], (r[i] - x[i - 1]) / d[i])
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         classes = {oc for oc, _ in deps.chain_ops()}
         assert OpClass.FP_DIV in classes
 
@@ -104,5 +106,41 @@ class TestRecurrences:
         x = b.array("x", (64,), DP)
         with b.loop(1, 64) as i:
             b.assign(x[i], x[i - 1] + x[i - 1] * 2.0)
-        deps = analyze_dependences(_inner(b.build()))
+        deps = _deps(b.build())
         assert len(deps.recurrences) == 1
+
+
+class TestSolverQuery:
+    """The classification is a query on the shared solver of
+    ``repro.ir.dependence``; these pin where it differs from the
+    full-nest edges."""
+
+    def test_coupled_subscript_resolved_over_innermost_band(self):
+        # a[i+j] = f(a[i+j-1]): over the whole nest the distance is
+        # unconstrained, (*, *); with i fixed it is exactly 1 in j.
+        b = KernelBuilder("coupled")
+        a = b.array("a", (128,), DP)
+        with b.loop(0, 32) as i:
+            with b.loop(1, 32) as j:
+                b.assign(a[i + j], a[i + j - 1] * 0.5)
+        kernel = b.build()
+        ctx = AnalysisContext(kernel)
+        load, store = ctx.sites
+        assert direction_vector(ctx.dependence_between(store, load)) \
+            == ("*", "*")
+        rec, = _deps(kernel).recurrences
+        assert rec.array_name == "a"
+        assert rec.distance == 1
+
+    def test_non_uniform_overlap_does_not_block(self):
+        # x[2i] = x[i] + 1 is not uniformly generated: the solver can
+        # only say "may overlap", which the vectorizer does not treat
+        # as a recurrence (docs/MODELING.md §2).
+        b = KernelBuilder("nonuniform")
+        x = b.array("x", (128,), DP)
+        with b.loop(0, 64) as i:
+            b.assign(x[2 * i], x[i] + 1.0)
+        kernel = b.build()
+        kinds = {e.dep.kind for e in AnalysisContext(kernel).dependence_edges}
+        assert "overlap" in kinds
+        assert _deps(kernel).vectorizable

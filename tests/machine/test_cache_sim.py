@@ -8,7 +8,8 @@ import pytest
 from repro.ir import DP, KernelBuilder
 from repro.machine import (ATOM, NEHALEM, HierarchySim,
                            SetAssociativeCache, analyze_cache,
-                           generate_trace, simulate_cache)
+                           generate_trace, simulate_cache,
+                           simulate_cache_fast, simulate_cache_reference)
 
 
 def _stream(n, name="s"):
@@ -153,9 +154,8 @@ class TestPerLevelLineSizes:
 
     def test_bytes_accounted_in_each_levels_lines(self):
         arch = _custom_arch((1024, 32, 2), (8192, 128, 4))
-        profile = simulate_cache(_stream(4096), arch,
-                                 warmup_invocations=0,
-                                 backend="reference")
+        profile = simulate_cache_reference(_stream(4096), arch,
+                                           warmup_invocations=0)
         for stats, spec in zip(profile.levels, arch.caches):
             assert stats.bytes_in == stats.misses * spec.line_bytes
         assert profile.mem_bytes == \
@@ -164,8 +164,8 @@ class TestPerLevelLineSizes:
     def test_straddle_counted_by_fast_and_reference(self):
         arch = _custom_arch((1024, 4, 2), (8192, 8, 4))
         kernel = _stream(64)
-        ref = simulate_cache(kernel, arch, backend="reference")
-        fast = simulate_cache(kernel, arch, backend="fast")
+        ref = simulate_cache_reference(kernel, arch)
+        fast = simulate_cache_fast(kernel, arch)
         # 8-byte elements over 4-byte units: every access splits in two.
         assert ref.accesses == 2 * 2 * 64
         assert ref == fast
