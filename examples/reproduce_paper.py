@@ -30,9 +30,6 @@ def main() -> None:
                              "clusterings")
     parser.add_argument("-o", "--output", default=None,
                         help="also write the report to this file")
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for profiling/measurement "
-                             "(1 = serial, 0 = all cores)")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk profile cache; a warm re-run "
                              "skips all re-profiling")
@@ -43,7 +40,7 @@ def main() -> None:
                  GAConfig(population=60, generations=15, seed=42))
     samples = 1000 if args.full else 200
 
-    runtime = RuntimeConfig(jobs=args.jobs, cache_dir=args.cache_dir)
+    runtime = RuntimeConfig(cache_dir=args.cache_dir)
     ctx = ExperimentContext(config=SubsettingConfig(runtime=runtime))
     sections = []
 

@@ -27,8 +27,8 @@ The package layers, bottom-up:
 * :mod:`repro.analysis` — static loop metrics (MAQAO role);
 * :mod:`repro.machine` — architecture/cache/execution models and
   hardware counters (target machines + Likwid role);
-* :mod:`repro.runtime` — parallel execution + content-addressed profile
-  caching for the batch stages of the pipeline;
+* :mod:`repro.runtime` — content-addressed profile caching and
+  retry/quarantine for the batch stages of the pipeline;
 * :mod:`repro.codelets` — detection, extraction, measurement (Codelet
   Finder role);
 * :mod:`repro.suites` — the NR and NAS-like benchmark suites;
@@ -47,8 +47,7 @@ from .core import (ALL_FEATURE_NAMES, TABLE2_FEATURES, BenchmarkReducer,
 from .machine import (ALL_ARCHITECTURES, ATOM, CORE2, NEHALEM, REFERENCE,
                       SANDY_BRIDGE, TARGETS, Architecture, NoiseModel,
                       run_kernel_model)
-from .runtime import (DiskCache, ProcessExecutor, RuntimeConfig,
-                      SerialExecutor, make_executor)
+from .runtime import DiskCache, RuntimeConfig
 from .suites import build_nas_suite, build_nr_suite
 
 __version__ = "1.0.0"
@@ -64,7 +63,6 @@ __all__ = [
     "REFERENCE", "TARGETS", "ALL_ARCHITECTURES", "NoiseModel",
     "run_kernel_model",
     "build_nr_suite", "build_nas_suite",
-    "RuntimeConfig", "SerialExecutor", "ProcessExecutor",
-    "make_executor", "DiskCache",
+    "RuntimeConfig", "DiskCache",
     "__version__",
 ]

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
-from ..ir.types import DP, SP
 from ..isa.compiler import CompiledKernel, CompiledNest
 from ..isa.instructions import Instr, OpClass
 from ..machine.architecture import Architecture, REFERENCE

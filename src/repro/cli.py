@@ -132,7 +132,7 @@ def _load_fault_plan(args):
 
 
 def _runtime_config(args) -> RuntimeConfig:
-    return RuntimeConfig(jobs=args.jobs, cache_dir=args.cache_dir,
+    return RuntimeConfig(cache_dir=args.cache_dir,
                          retries=args.retries,
                          task_timeout_s=args.task_timeout,
                          fault_plan=_load_fault_plan(args),
@@ -219,13 +219,12 @@ def _cmd_predict(args) -> int:
     reduced = reducer.reduce(args.k)
     targets = ([architecture_by_name(args.target)] if args.target
                else list(TARGETS))
-    with config.runtime.make_executor() as executor:
-        results = [(t, evaluate_on_target(
-                        reduced, t, measurer, executor=executor,
-                        resilience=reducer.resilience,
-                        reference=config.reference,
-                        tolerance=config.tolerance))
-                   for t in targets]
+    results = [(t, evaluate_on_target(
+                    reduced, t, measurer,
+                    resilience=reducer.resilience,
+                    reference=config.reference,
+                    tolerance=config.tolerance))
+               for t in targets]
     for target, result in results:
         r = result.reduction
         print(f"\n{target.name}: median codelet error "
@@ -422,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproduction)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="suite size scale (1.0 = CLASS-B-like)")
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for profiling and target "
-                             "measurement (1 = serial, 0 = all cores)")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed on-disk profile cache "
                              "directory (re-runs only profile what "
@@ -597,9 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 0:
-        parser.error(f"-j/--jobs: must be >= 0 (0 = all cores), "
-                     f"got {args.jobs}")
     if args.retries < 0:
         parser.error(f"--retries: must be >= 0, got {args.retries}")
     if args.task_timeout is not None and args.task_timeout <= 0:

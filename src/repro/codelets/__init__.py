@@ -6,7 +6,7 @@ from .codelet import (Application, BenchmarkSuite, Codelet, CodeletRegion,
 from .extractor import MemoryDump, Microbenchmark, capture_memory, extract
 from .finder import DetectionReport, find_codelets, find_suite_codelets
 from .measurement import (MIN_BENCH_SECONDS, MIN_INVOCATIONS, Measurer,
-                          MeasurerSpec, StandaloneTiming, average_metrics,
+                          StandaloneTiming, average_metrics,
                           choose_invocations)
 from .profiling import (MIN_TOTAL_CYCLES, CodeletProfile, ProfileOutcome,
                         ProfilingReport, profile_codelet, profile_codelets,
@@ -16,7 +16,7 @@ __all__ = [
     "Codelet", "CodeletRegion", "Routine", "Application", "BenchmarkSuite",
     "DetectionReport", "find_codelets", "find_suite_codelets",
     "MemoryDump", "Microbenchmark", "capture_memory", "extract",
-    "Measurer", "MeasurerSpec", "StandaloneTiming", "choose_invocations",
+    "Measurer", "StandaloneTiming", "choose_invocations",
     "average_metrics", "MIN_BENCH_SECONDS", "MIN_INVOCATIONS",
     "CodeletProfile", "ProfileOutcome", "ProfilingReport",
     "profile_codelet", "profile_codelets", "profile_outcome",

@@ -22,7 +22,7 @@ same (codelet, architecture) pairs many times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -92,25 +92,6 @@ def average_metrics(parts: List[Tuple[DynamicMetrics, float]]) -> DynamicMetrics
     return DynamicMetrics(arch_name=parts[0][0].arch_name, **values)
 
 
-@dataclass(frozen=True)
-class MeasurerSpec:
-    """A picklable recipe for rebuilding an equivalent measurer.
-
-    Worker processes cannot share the parent's :class:`Measurer` (its
-    memo table would have to cross the process boundary on every task),
-    so they rebuild one from this spec.  Because the machine model is
-    deterministic and the noise model is keyed, a rebuilt measurer
-    returns bit-identical values.
-    """
-
-    cls: type
-    noise: NoiseModel
-    cache_backend: str
-
-    def build(self) -> "Measurer":
-        return self.cls(noise=self.noise, cache_backend=self.cache_backend)
-
-
 class Measurer:
     """Memoizing facade over the machine model plus measurement noise."""
 
@@ -120,24 +101,9 @@ class Measurer:
         self.cache_backend = cache_backend
         self._runs: Dict[Tuple, MeasuredRun] = {}
 
-    # -- worker transfer ------------------------------------------------------
-
-    def spec(self) -> MeasurerSpec:
-        """The configuration needed to rebuild this measurer elsewhere."""
-        return MeasurerSpec(type(self), self.noise, self.cache_backend)
-
     def runs_snapshot(self) -> Dict[Tuple, MeasuredRun]:
-        """A copy of the memoized model runs (for transfer to the parent)."""
+        """A copy of the memoized model runs."""
         return dict(self._runs)
-
-    def absorb_runs(self, runs: Dict[Tuple, MeasuredRun]) -> None:
-        """Merge model runs memoized in a worker process.
-
-        Worker and parent compute identical values for identical keys,
-        so ``setdefault`` (rather than overwrite) is purely defensive.
-        """
-        for key, run in runs.items():
-            self._runs.setdefault(key, run)
 
     # -- raw model runs -------------------------------------------------------
 

@@ -7,12 +7,10 @@ reference cycles are discarded as unmeasurable, as in Section 3.2.
 
 Profiling one codelet is independent of every other codelet and a pure
 function of (codelet source, architecture, measurer configuration), so
-:func:`profile_codelets` optionally fans the batch out across an
-:class:`~repro.runtime.executor.Executor` and/or reuses results from a
-content-addressed :class:`~repro.runtime.cache.DiskCache`.  Both paths
-are bit-identical to the serial cold path: the machine model is
-deterministic, measurement noise is keyed (not stateful), and the
-report always preserves input order.
+:func:`profile_codelets` can reuse results from a content-addressed
+:class:`~repro.runtime.cache.DiskCache`.  A cached run is bit-identical
+to the cold path: the machine model is deterministic, measurement noise
+is keyed (not stateful), and the report always preserves input order.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from ..machine.counters import DynamicMetrics
 from ..machine.platform import default_options
 from ..obs import Observation
 from ..runtime.cache import DiskCache, content_key
-from ..runtime.executor import Executor
 from ..runtime.fingerprint import profile_cache_key
 from ..runtime.resilience import QUARANTINED, ResilientExecutor
 from .codelet import Codelet
@@ -84,12 +81,12 @@ class ProfilingReport:
 
 @dataclass(frozen=True)
 class ProfileOutcome:
-    """The transferable result of profiling one codelet.
+    """The cacheable result of profiling one codelet.
 
-    This is what crosses process boundaries and lives in the on-disk
-    cache: everything Step B computed *except* the codelet object
-    itself, which the caller already holds — :meth:`attach` reunites
-    them, so cached/parallel runs keep the caller's object identities.
+    This is what lives in the on-disk cache: everything Step B computed
+    *except* the codelet object itself, which the caller already holds
+    — :meth:`attach` reunites them, so cached runs keep the caller's
+    object identities.
     A discarded codelet is an outcome too (``kept=False``), so the
     1M-cycle filter decision is itself cached.
     """
@@ -151,40 +148,23 @@ def profile_outcome(codelet: Codelet, measurer: Measurer,
     )
 
 
-def _profile_worker(payload):
-    """One worker task (module-level so process pools can pickle it).
-
-    Returns the outcome plus the worker measurer's memoized model runs,
-    which the parent absorbs so post-profiling steps (representative
-    selection, Step E) don't recompute them.
-    """
-    codelet, spec, arch, min_total_cycles, run_id = payload
-    measurer = spec.build()
-    outcome = profile_outcome(codelet, measurer, arch,
-                              min_total_cycles, run_id)
-    return outcome, measurer.runs_snapshot()
-
-
 def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
                      arch: Architecture = REFERENCE,
                      min_total_cycles: float = MIN_TOTAL_CYCLES,
                      run_id: int = 0,
-                     executor: Optional[Executor] = None,
                      cache: Optional[DiskCache] = None,
                      resilience: Optional[ResilientExecutor] = None,
                      obs: Optional[Observation] = None
                      ) -> ProfilingReport:
     """Profile a codelet set, applying the measurability filter.
 
-    ``executor`` fans the uncached codelets out across workers (``None``
-    or a 1-job executor runs them inline with the caller's memoizing
-    measurer, exactly as the historical serial path did); ``cache``
-    short-circuits codelets whose content-addressed key is already on
-    disk.  With ``resilience``, failed profiling tasks are retried and
-    — once quarantined — dropped from the report with a diagnostic
-    instead of aborting the batch.  The report lists profiles in input
-    order regardless, and a failure-free resilient run is bit-identical
-    to the plain path.
+    Uncached codelets are profiled in order with the caller's
+    memoizing measurer; ``cache`` short-circuits codelets whose
+    content-addressed key is already on disk.  With ``resilience``,
+    failed profiling tasks are retried and — once quarantined —
+    dropped from the report with a diagnostic instead of aborting the
+    batch.  The report lists profiles in input order regardless, and a
+    failure-free resilient run is bit-identical to the plain path.
     """
     codelets = list(codelets)
     if obs is None:
@@ -212,37 +192,17 @@ def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
 
     obs.metrics.counter("tasks.profile").inc(len(pending))
     if pending:
-        parallel = executor is not None and executor.jobs > 1
-        if parallel:
-            spec = measurer.spec()
-            payloads = [(codelets[i], spec, arch, min_total_cycles,
-                         run_id) for i in pending]
-            task, items = _profile_worker, payloads
-        else:
-            def task(i):
-                return profile_outcome(codelets[i], measurer, arch,
-                                       min_total_cycles, run_id)
-            items = pending
+        def task(i):
+            return profile_outcome(codelets[i], measurer, arch,
+                                   min_total_cycles, run_id)
         if resilience is None:
-            raw = (executor.map(task, items) if parallel
-                   else [task(i) for i in items])
+            computed = [task(i) for i in pending]
         else:
-            raw = resilience.map_tasks(
-                task, items, keys=[codelets[i].name for i in pending],
-                stage="profile", arch=arch.name,
-                executor=executor if parallel else None)
-        computed: List[Optional[ProfileOutcome]] = []
-        for value in raw:
-            if value is QUARANTINED:
-                computed.append(None)
-            elif parallel:
-                outcome, runs = value
-                measurer.absorb_runs(runs)
-                computed.append(outcome)
-            else:
-                computed.append(value)
+            computed = resilience.map_tasks(
+                task, pending, keys=[codelets[i].name for i in pending],
+                stage="profile", arch=arch.name)
         for i, outcome in zip(pending, computed):
-            if outcome is None:
+            if outcome is QUARANTINED:
                 quarantined.append(codelets[i].name)
                 continue
             outcomes[i] = outcome

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..codelets.codelet import BenchmarkSuite
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import Measurer
 from ..machine.architecture import Architecture
 from .pipeline import ReducedSuite
-from .prediction import (ApplicationPrediction, CodeletPrediction,
-                         aggregate_application)
 
 FORMAT_VERSION = 1
 

@@ -13,24 +13,22 @@
   (:func:`evaluate_on_target`).
 
 Profiling is cached on the reducer, so sweeping K (Figure 3) or
-evaluating several targets re-uses Steps A-B.  The
+evaluating several targets re-uses Steps A-B.  Steps B and E run
+serially in the calling process.  The
 :class:`~repro.runtime.config.RuntimeConfig` carried by
-:class:`SubsettingConfig` additionally fans Steps B and E out across
-worker processes (``jobs``) and persists per-codelet profiling outcomes
-in a content-addressed on-disk cache (``cache_dir``), with results
-guaranteed bit-identical to a serial, cold run (see
-:mod:`repro.runtime`).
+:class:`SubsettingConfig` can persist per-codelet profiling outcomes in
+a content-addressed on-disk cache (``cache_dir``), with results
+guaranteed bit-identical to a cold run (see :mod:`repro.runtime`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..codelets.codelet import BenchmarkSuite, Codelet
+from ..codelets.codelet import BenchmarkSuite
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import (MIN_TOTAL_CYCLES, CodeletProfile,
@@ -39,7 +37,6 @@ from ..machine.architecture import Architecture, REFERENCE
 from ..obs import Observation, active_observation
 from ..runtime.cache import CacheStats
 from ..runtime.config import RuntimeConfig
-from ..runtime.executor import Executor
 from ..runtime.resilience import (QUARANTINED, ResilientExecutor,
                                   RunHealth)
 from .clustering import Dendrogram, elbow_k, ward_linkage
@@ -240,12 +237,10 @@ class BenchmarkReducer:
                                suite=self.suite.name) as span:
                 codelets = find_suite_codelets(self.suite)
                 span.set("codelets", len(codelets))
-                with self.config.runtime.make_executor() as executor:
-                    self._report = profile_codelets(
-                        codelets, self.measurer, self.config.reference,
-                        self.config.min_total_cycles,
-                        executor=executor, cache=self._cache,
-                        resilience=self.resilience, obs=self.obs)
+                self._report = profile_codelets(
+                    codelets, self.measurer, self.config.reference,
+                    self.config.min_total_cycles, cache=self._cache,
+                    resilience=self.resilience, obs=self.obs)
                 span.set("kept", len(self._report.profiles))
             for name in self._report.quarantined:
                 self.health.degrade(
@@ -419,24 +414,8 @@ class TargetEvaluation:
         raise KeyError(name)
 
 
-def _target_model_worker(payload):
-    """Model one codelet's in-app and standalone runs on one target.
-
-    Module-level so process pools can pickle it.  Only the memoized
-    model runs travel back: the parent absorbs them and then executes
-    the unchanged serial measurement code against a warm memo table, so
-    parallel evaluation is bit-identical to serial by construction.
-    """
-    codelet, spec, arch = payload
-    measurer = spec.build()
-    measurer.true_inapp_seconds(codelet, arch)
-    measurer.true_standalone_seconds(codelet, arch)
-    return measurer.runs_snapshot()
-
-
 def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                        measurer: Measurer,
-                       executor: Optional[Executor] = None,
                        resilience: Optional[ResilientExecutor] = None,
                        reference: Architecture = REFERENCE,
                        tolerance: float = ILL_BEHAVED_TOLERANCE,
@@ -444,11 +423,6 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                        ) -> TargetEvaluation:
     """Benchmark the representatives on ``target`` and compare the
     extrapolated codelet/application times to real measurements.
-
-    With a multi-job ``executor``, the expensive part — modelling every
-    codelet on the target — is fanned out first to pre-warm the
-    measurer's memo table; the measurements below then hit the memo and
-    produce exactly the serial results.
 
     With ``resilience``, a representative whose standalone benchmark is
     quarantined (every attempt failed) does not abort the evaluation:
@@ -465,14 +439,6 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
 
     with obs.span("evaluate", target=target.name,
                   representatives=len(reduced.representatives)) as span:
-        if (executor is not None and executor.jobs > 1
-                and reduced.profiles):
-            spec = measurer.spec()
-            payloads = [(p.codelet, spec, target)
-                        for p in reduced.profiles]
-            for runs in executor.map(_target_model_worker, payloads):
-                measurer.absorb_runs(runs)
-
         # Measure the representatives' standalone microbenchmarks.
         # Under resilience this loops: each quarantined representative
         # joins the barred set and selection re-runs until a clean set

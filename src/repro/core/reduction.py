@@ -14,9 +14,8 @@ representatives.  It decomposes into two factors, as in Table 5:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Sequence
 
-from ..codelets.codelet import Codelet
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import Architecture

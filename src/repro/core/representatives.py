@@ -105,7 +105,6 @@ def select_representatives(profiles: Sequence[CodeletProfile],
     """
     labels = np.asarray(labels)
     names = [p.name for p in profiles]
-    by_name = {p.name: p for p in profiles}
     barred = ineligible if ineligible is not None else frozenset()
 
     # Fidelity of every codelet on the reference machine (memoized runs

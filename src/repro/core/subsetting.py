@@ -16,11 +16,11 @@ be predicted this way and is reported in ``unpredictable``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..codelets.codelet import Application, BenchmarkSuite
+from ..codelets.codelet import BenchmarkSuite
 from ..codelets.measurement import Measurer
 from ..machine.architecture import Architecture
 from .pipeline import BenchmarkReducer, SubsettingConfig, evaluate_on_target

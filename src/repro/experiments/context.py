@@ -58,8 +58,6 @@ class ExperimentContext:
         """Cached Step E evaluation for ('nr'|'nas', k, target)."""
         key = (suite, k, target.name)
         if key not in self._evaluations:
-            with self.config.runtime.make_executor() as executor:
-                self._evaluations[key] = evaluate_on_target(
-                    self.reduced(suite, k), target, self.measurer,
-                    executor=executor)
+            self._evaluations[key] = evaluate_on_target(
+                self.reduced(suite, k), target, self.measurer)
         return self._evaluations[key]

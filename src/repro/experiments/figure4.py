@@ -10,7 +10,7 @@ populations so tests can check that property too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from ..core.random_baseline import (RandomClusteringStats,
                                     random_clustering_errors)
 from ..machine.architecture import ATOM, CORE2, SANDY_BRIDGE

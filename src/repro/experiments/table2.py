@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from ..core.features import ALL_FEATURE_NAMES, TABLE2_FEATURES
-from ..core.ga import GAConfig, GAResult, select_features
+from ..core.ga import GAConfig, select_features
 from .context import ExperimentContext
 from .report import format_table
 

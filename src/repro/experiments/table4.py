@@ -9,7 +9,7 @@ median and average errors against the paper's numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..machine.architecture import ATOM, SANDY_BRIDGE
 from .context import ExperimentContext

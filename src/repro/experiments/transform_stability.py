@@ -23,7 +23,7 @@ kernel's content fingerprint (no silent aliasing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..codelets.measurement import Measurer
 from ..core.pipeline import BenchmarkReducer, SubsettingConfig

@@ -19,13 +19,12 @@ changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..analysis.arch_independent import arch_independent_matrix
 from ..core.clustering import ward_linkage
-from ..core.features import FeatureMatrix
 from ..core.prediction import build_cluster_model, percent_error
 from ..core.representatives import select_representatives
 from ..machine.architecture import HASWELL, Architecture

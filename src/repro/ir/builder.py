@@ -18,7 +18,7 @@ syntax identical on both sides of the ``=``.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .expr import (Array, Const, Expr, IndexExprLike, IndexVar, IRError,
                    Load)

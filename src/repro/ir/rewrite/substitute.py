@@ -13,10 +13,9 @@ does.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from ..expr import (AffineIndex, BinOp, Call, Const, Expr, Load,
-                    as_affine)
+from ..expr import AffineIndex, BinOp, Call, Const, Expr, Load
 from ..kernel import Kernel
 from ..stmt import Block, Loop, Stmt, Store
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..ir.types import DP, DType, SP
+from ..ir.types import DType
 
 
 class OpClass(enum.Enum):

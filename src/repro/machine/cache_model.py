@@ -24,7 +24,7 @@ outlier (Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ir.kernel import Kernel
 from ..ir.traverse import Access, NestAnalysis, analyze_nests

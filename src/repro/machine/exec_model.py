@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..isa.compiler import CompiledKernel, CompiledNest
-from ..isa.instructions import Instr, OpClass
+from ..isa.instructions import OpClass
 from .architecture import Architecture
 from .cache_model import CacheProfile
 

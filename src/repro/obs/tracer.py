@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 #: Bumped whenever the on-disk trace layout changes; ``repro trace``
 #: refuses files written by a different format.

@@ -1,14 +1,11 @@
-"""Parallel, cache-backed, fault-tolerant runtime for the pipeline.
+"""Cache-backed, fault-tolerant runtime for the pipeline.
 
-The pipeline is embarrassingly parallel at its two measurement-heavy
-stages — per-codelet profiling on the reference machine (Step B) and
-per-codelet benchmarking on each target (Step E) — and profiling is a
-pure function of (codelet source, architecture, measurer config).  This
-package supplies the corresponding machinery:
+Steps B (per-codelet profiling on the reference machine) and E
+(per-codelet benchmarking on each target) run serially in the calling
+process, and profiling is a pure function of (codelet source,
+architecture, measurer config).  This package supplies the machinery
+around those two stages:
 
-* :mod:`~repro.runtime.executor` — an order-preserving :class:`Executor`
-  abstraction (serial, or a ``ProcessPoolExecutor`` fan-out) with
-  deterministic, bit-identical results;
 * :mod:`~repro.runtime.cache` — a content-addressed on-disk
   :class:`DiskCache` with hit/miss accounting, per-entry payload
   checksums and corruption recovery;
@@ -22,8 +19,8 @@ package supplies the corresponding machinery:
   breakers) and the structured :class:`RunHealth` report;
 * :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the knob bundle
   wired through :class:`repro.core.pipeline.SubsettingConfig` and the
-  CLI (``--jobs``, ``--cache-dir``, ``--retries``,
-  ``--task-timeout``, ``--fault-plan``, ``--strict``).
+  CLI (``--cache-dir``, ``--retries``, ``--task-timeout``,
+  ``--fault-plan``, ``--strict``).
 
 This package deliberately depends only on :mod:`repro.ir` and
 :mod:`repro.machine`; the codelet and core layers import *it*.
@@ -31,8 +28,6 @@ This package deliberately depends only on :mod:`repro.ir` and
 
 from .cache import CACHE_FORMAT, CacheStats, DiskCache, content_key
 from .config import RuntimeConfig
-from .executor import (Executor, ProcessExecutor, SerialExecutor,
-                       make_executor, resolve_jobs)
 from .faults import (FAULT_KINDS, FAULT_STAGES, CorruptResult,
                      FaultPlan, FaultRule, InjectedCrash,
                      InjectedFault, InjectedTimeout, crash_plan)
@@ -43,8 +38,6 @@ from .resilience import (QUARANTINED, ResilientExecutor, RetryPolicy,
                          RunHealth, TaskHealth)
 
 __all__ = [
-    "Executor", "SerialExecutor", "ProcessExecutor",
-    "make_executor", "resolve_jobs",
     "DiskCache", "CacheStats", "CACHE_FORMAT", "content_key",
     "RuntimeConfig",
     "FaultPlan", "FaultRule", "FAULT_KINDS", "FAULT_STAGES",

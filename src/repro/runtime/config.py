@@ -1,10 +1,10 @@
-"""Runtime knobs: worker fan-out, the profile cache, and resilience.
+"""Runtime knobs: the profile cache and resilience.
 
 :class:`RuntimeConfig` is carried by
 :class:`repro.core.pipeline.SubsettingConfig` and surfaced on the CLI as
-``--jobs`` / ``--cache-dir`` plus the resilience flags
+``--cache-dir`` plus the resilience flags
 ``--retries`` / ``--task-timeout`` / ``--fault-plan`` / ``--strict``.
-The defaults (serial, no cache, two retries, no faults) reproduce the
+The defaults (no cache, two retries, no faults) reproduce the
 historical results exactly: with no faults to recover from, the
 resilient path computes bit-identical values to the plain one.
 """
@@ -15,20 +15,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cache import DiskCache
-from .executor import Executor, make_executor
 from .faults import FaultPlan
 from .resilience import ResilientExecutor, RetryPolicy, RunHealth
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """How batch-parallel pipeline stages execute.
+    """How the Step B and Step E pipeline stages execute.
 
     Attributes
     ----------
-    jobs:
-        Worker processes for Step B profiling and Step E target
-        measurement; 1 = serial, 0 = one per core.
     cache_dir:
         Directory of the content-addressed profile cache; ``None``
         disables caching entirely.
@@ -51,18 +47,12 @@ class RuntimeConfig:
         health-report footnote.
     """
 
-    jobs: int = 1
     cache_dir: Optional[str] = None
     retries: int = 2
     backoff_s: float = 0.0
     task_timeout_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     strict: bool = False
-
-    def make_executor(self) -> Executor:
-        """A fresh executor honouring ``jobs`` (use as a context
-        manager)."""
-        return make_executor(self.jobs)
 
     def make_cache(self, obs=None) -> Optional[DiskCache]:
         """The profile cache, or ``None`` when caching is off.

@@ -10,9 +10,8 @@ suite injects exactly the same faults, attempt for attempt.
 Injection is keyed like the measurement-noise model
 (:class:`repro.machine.noise.NoiseModel`): whether a rule fires for a
 given (stage, task, architecture, attempt) is a pure function of the
-plan seed and that key, never of wall-clock time or scheduling.  Plans
-are plain frozen dataclasses — picklable, so faults fire identically
-inside process-pool workers — and round-trip through a small JSON
+plan seed and that key, never of wall-clock time or task order.  Plans
+are plain frozen dataclasses and round-trip through a small JSON
 format (see ``docs/RESILIENCE.md``) for the ``--fault-plan`` CLI flag.
 """
 
@@ -20,9 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 #: The failure taxonomy (docs/RESILIENCE.md).
 FAULT_KINDS = ("crash", "timeout", "corrupt", "cache-poison")
@@ -39,7 +38,7 @@ class InjectedFault(RuntimeError):
 
 
 class InjectedCrash(InjectedFault):
-    """The task process 'crashed' (modelled as an exception)."""
+    """The task 'crashed' (modelled as an exception)."""
 
 
 class InjectedTimeout(InjectedFault):

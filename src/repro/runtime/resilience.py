@@ -1,9 +1,8 @@
 """Fault-tolerant task execution: retries, quarantine, run health.
 
-The historical executors (:mod:`repro.runtime.executor`) treat every
-task failure as fatal — one crashed worker aborts a whole Step B/E
-batch.  This module wraps them with the failure semantics a production
-measurement harness needs:
+Without this module any task failure is fatal — one failed codelet
+aborts a whole Step B/E batch.  It runs a batch in the calling process
+with the failure semantics a production measurement harness needs:
 
 * **retries with exponential backoff** — a failed attempt is retried up
   to ``retries`` more times, the batch staying in input order and every
@@ -26,12 +25,12 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
 from ..obs import Observation
-from .executor import Executor, SerialExecutor
 from .faults import (CorruptResult, FaultPlan, InjectedCrash,
                      InjectedFault, InjectedTimeout)
 
@@ -196,7 +195,7 @@ class RunHealth:
 
 
 # ---------------------------------------------------------------------------
-# Guarded task execution (runs in workers, so module-level + picklable)
+# Guarded task execution
 # ---------------------------------------------------------------------------
 
 
@@ -238,10 +237,12 @@ def _guarded_call(fn: Callable[[Any], Any], item: Any, stage: str,
     return result
 
 
-def _resilient_worker(payload) -> Tuple[str, Any, str]:
+def _resilient_worker(fn: Callable[[Any], Any], item: Any, stage: str,
+                      task: str, arch: str, attempt: int,
+                      plan: Optional[FaultPlan],
+                      timeout_s: Optional[float]) -> Tuple[str, Any, str]:
     """Run one guarded attempt, folding failures into the return value
-    so a crashed task can never abort the surrounding pool ``map``."""
-    fn, item, stage, task, arch, attempt, plan, timeout_s = payload
+    so a failed task can never abort the surrounding batch."""
     try:
         result = _guarded_call(fn, item, stage, task, arch, attempt,
                                plan, timeout_s)
@@ -258,7 +259,7 @@ QUARANTINED = object()
 
 
 class ResilientExecutor:
-    """Retry/quarantine wrapper over a plain :class:`Executor`.
+    """Runs pipeline tasks in-process with retries and quarantine.
 
     One instance should live for a whole pipeline run: the circuit
     breaker remembers quarantined (stage, task) keys across batches, so
@@ -284,20 +285,19 @@ class ResilientExecutor:
     # -- batch execution ------------------------------------------------------
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                  keys: Sequence[str], stage: str, arch: str,
-                  executor: Optional[Executor] = None) -> List[Any]:
+                  keys: Sequence[str], stage: str,
+                  arch: str) -> List[Any]:
         """Order-preserving map with retries and quarantine.
 
         Returns one entry per item: the task's result, or
         :data:`QUARANTINED` if its attempts were exhausted (or its
-        breaker was already tripped).  ``executor`` fans attempts out
-        (each retry round is one pool ``map``); ``None`` runs inline.
+        breaker was already tripped).  Attempts run inline, one retry
+        round at a time.
         """
         items = list(items)
         if len(items) != len(keys):
             raise ValueError(
                 f"map_tasks: {len(items)} items but {len(keys)} keys")
-        inner = executor if executor is not None else SerialExecutor()
         results: List[Any] = [QUARANTINED] * len(items)
         records = [TaskHealth(stage=stage, task=key, arch=arch)
                    for key in keys]
@@ -315,25 +315,23 @@ class ResilientExecutor:
         metrics = self.obs.metrics if self.obs is not None else None
         attempt = 0
         while active and attempt < self.policy.max_attempts:
-            payloads = [(fn, items[i], stage, keys[i], arch, attempt,
-                         self.fault_plan, self.policy.timeout_s)
-                        for i in active]
             if metrics is not None:
-                metrics.counter("resilience.attempts").inc(
-                    len(payloads))
+                metrics.counter("resilience.attempts").inc(len(active))
                 if attempt > 0:
                     metrics.counter("resilience.retries").inc(
-                        len(payloads))
-            if self.obs is not None and attempt > 0:
-                # Round 0 is ordinary execution; only actual *retry*
-                # rounds earn a span, so a failure-free run's trace is
-                # identical to the fail-fast path's.
-                with self.obs.span("retry-round", stage=stage,
-                                   attempt=attempt,
-                                   tasks=len(payloads)):
-                    outcomes = inner.map(_resilient_worker, payloads)
-            else:
-                outcomes = inner.map(_resilient_worker, payloads)
+                        len(active))
+            # Round 0 is ordinary execution; only actual *retry* rounds
+            # earn a span, so a failure-free run's trace is identical to
+            # the fail-fast path's.
+            round_span = (self.obs.span("retry-round", stage=stage,
+                                        attempt=attempt, tasks=len(active))
+                          if self.obs is not None and attempt > 0
+                          else nullcontext())
+            with round_span:
+                outcomes = [_resilient_worker(
+                    fn, items[i], stage, keys[i], arch, attempt,
+                    self.fault_plan, self.policy.timeout_s)
+                    for i in active]
             still_failing: List[int] = []
             for i, (status, value, detail) in zip(active, outcomes):
                 records[i].attempts = attempt + 1
@@ -373,7 +371,7 @@ class ResilientExecutor:
 
     def run(self, fn: Callable[[], Any], key: str, stage: str,
             arch: str) -> Any:
-        """Run one task inline (parent process) with full semantics."""
+        """Run one task with the full retry/quarantine semantics."""
         [result] = self.map_tasks(lambda _: fn(), [None], [key],
                                   stage, arch)
         return result

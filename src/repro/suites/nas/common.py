@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ...codelets.codelet import Application, CodeletRegion, Routine
 from ...ir.kernel import Kernel, SourceLoc

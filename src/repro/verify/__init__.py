@@ -3,8 +3,8 @@
 The paper's claims rest on invariants no single example states: cluster
 assignments must not depend on codelet labels or ordering, feature
 normalisation must make clustering unit-invariant, extrapolation must
-be exact at K = N, and every runtime knob (process pools, the profile
-cache) must change wall-clock time only.  This package makes those
+be exact at K = N, and every runtime knob (such as the profile cache)
+must change wall-clock time only.  This package makes those
 properties *executable*:
 
 * :mod:`~repro.verify.strategies` — seeded synthetic suites/codelets
@@ -27,8 +27,8 @@ from .invariants import (BREAKAGES, REGISTRY, Invariant,
                          VerifyContext, invariant, reduce_codelets,
                          run_registry)
 from .oracle import (DIFFERENTIAL_CASES, DifferentialCase,
-                     DifferentialResult, Discrepancy, diff_evaluations,
-                     diff_reduced, run_differential)
+                     DifferentialResult, Discrepancy, diff_reduced,
+                     run_differential)
 from .report import VerifyReport
 from .runner import describe_registry, run_verify
 from .strategies import (FEATURE_MATRIX_VARIANTS, KERNEL_SHAPES,
@@ -43,8 +43,7 @@ __all__ = [
     "VerifyContext", "REGISTRY", "BREAKAGES", "invariant",
     "run_registry", "reduce_codelets",
     "Discrepancy", "DifferentialCase", "DifferentialResult",
-    "DIFFERENTIAL_CASES", "diff_reduced", "diff_evaluations",
-    "run_differential",
+    "DIFFERENTIAL_CASES", "diff_reduced", "run_differential",
     "VerifyReport", "run_verify", "describe_registry",
     "KERNEL_SHAPES", "random_codelet", "random_codelets",
     "synthetic_suite", "codelet_lists", "benchmark_suites",

@@ -558,7 +558,7 @@ def check_ill_behaved_never_representative(ctx: VerifyContext) -> None:
 def check_cache_determinism(ctx: VerifyContext) -> None:
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
         config = replace(ctx.config,
-                         runtime=RuntimeConfig(jobs=1, cache_dir=tmp))
+                         runtime=RuntimeConfig(cache_dir=tmp))
         cold = BenchmarkReducer(ctx.suite, Measurer(), config)
         cold_reduced = cold.reduce("elbow")
         warm = BenchmarkReducer(ctx.suite, Measurer(), config)

@@ -5,13 +5,11 @@ time and nothing else.  The oracle makes that promise executable: it
 runs the full pipeline under *paired* configurations that must be
 observationally identical —
 
-* serial vs. process-pool execution (``jobs=1`` vs ``jobs=2``),
 * cached vs. uncached profiling (plus cold vs. warm cache),
 * elbow-selected K vs. the same K requested explicitly —
 
-and structurally diffs the resulting :class:`ReducedSuite` objects and
-target predictions, reporting any discrepancy by field with the first
-witnessing values.  Unlike the golden snapshots (which pin one suite's
+and structurally diffs the resulting :class:`ReducedSuite` objects,
+reporting any discrepancy by field with the first witnessing values.  Unlike the golden snapshots (which pin one suite's
 numbers), the oracle holds on any seed, so every later performance PR
 inherits it as a regression net.
 """
@@ -25,10 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..codelets.measurement import Measurer
-from ..core.pipeline import (BenchmarkReducer, ReducedSuite,
-                             TargetEvaluation, evaluate_on_target)
-from ..machine.architecture import TARGETS
+from ..core.pipeline import ReducedSuite
 from ..runtime.config import RuntimeConfig
 
 if False:  # pragma: no cover - import cycle guard for type checkers
@@ -112,57 +107,16 @@ def diff_reduced(a: ReducedSuite, b: ReducedSuite) -> List[Discrepancy]:
     return out
 
 
-def diff_evaluations(a: TargetEvaluation,
-                     b: TargetEvaluation) -> List[Discrepancy]:
-    """Structural diff of two Step E target evaluations."""
-    out: List[Discrepancy] = []
-    if a.codelets != b.codelets:
-        out.append(Discrepancy(
-            f"predictions[{a.arch_name}]",
-            _first_diff(a.codelets, b.codelets)))
-    if a.applications != b.applications:
-        out.append(Discrepancy(
-            f"applications[{a.arch_name}]",
-            _first_diff(a.applications, b.applications)))
-    if a.reduction != b.reduction:
-        out.append(Discrepancy(f"reduction[{a.arch_name}]",
-                               "reduction accounting differs"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Paired-configuration cases
 # ---------------------------------------------------------------------------
-
-
-def _case_serial_vs_parallel(ctx) -> List[Discrepancy]:
-    serial_measurer = Measurer()
-    serial = BenchmarkReducer(ctx.suite, serial_measurer,
-                              ctx.config).reduce("elbow")
-    parallel_config = replace(ctx.config, runtime=RuntimeConfig(jobs=2))
-    parallel_measurer = Measurer()
-    parallel = BenchmarkReducer(ctx.suite, parallel_measurer,
-                                parallel_config).reduce("elbow")
-    out = diff_reduced(serial, parallel)
-    if out or not serial.profiles:
-        return out
-    # Step E under an executor must match the serial path too.
-    target = TARGETS[0]
-    eval_serial = evaluate_on_target(serial, target, serial_measurer)
-    with parallel_config.runtime.make_executor() as executor:
-        eval_parallel = evaluate_on_target(parallel, target,
-                                           parallel_measurer,
-                                           executor=executor)
-    out.extend(diff_evaluations(eval_serial, eval_parallel))
-    return out
 
 
 def _case_cached_vs_uncached(ctx) -> List[Discrepancy]:
     uncached = ctx.fresh_reducer().reduce("elbow")
     with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
         cache_config = replace(ctx.config,
-                               runtime=RuntimeConfig(jobs=1,
-                                                     cache_dir=tmp))
+                               runtime=RuntimeConfig(cache_dir=tmp))
         cold = ctx.fresh_reducer(cache_config).reduce("elbow")
         warm = ctx.fresh_reducer(cache_config).reduce("elbow")
     out = diff_reduced(uncached, cold)
@@ -190,11 +144,6 @@ class DifferentialCase:
 #: name -> DifferentialCase, in registration order.
 DIFFERENTIAL_CASES: Dict[str, DifferentialCase] = {
     case.name: case for case in (
-        DifferentialCase(
-            "serial-vs-parallel",
-            "jobs=1 and jobs=2 produce bit-identical reductions and "
-            "target predictions",
-            _case_serial_vs_parallel),
         DifferentialCase(
             "cached-vs-uncached",
             "profiling through the on-disk cache (cold and warm) "

@@ -8,13 +8,12 @@ measurements.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.codelets import Measurer
 from repro.experiments import ExperimentContext
 from repro.ir import DP, KernelBuilder
-from repro.machine import EXACT, NoiseModel
+from repro.machine import EXACT
 from repro.suites import build_nas_suite, build_nr_suite
 
 

@@ -9,7 +9,7 @@ from repro.core.pipeline import (BenchmarkReducer, PipelineHooks,
                                  evaluate_on_target)
 from repro.core.prediction import average_error, median_error
 from repro.core.reduction import ReductionBreakdown
-from repro.machine import ATOM, CORE2, NEHALEM, SANDY_BRIDGE
+from repro.machine import CORE2, SANDY_BRIDGE
 from repro.suites import build_nas_suite, build_nr_suite
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import (DP, SP, KernelBuilder, analyze_nests,
-                      average_trip_counts, kernel_stride_summary)
+                      kernel_stride_summary)
 
 
 class TestTripCounts:

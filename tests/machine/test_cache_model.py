@@ -3,8 +3,8 @@
 import pytest
 
 from repro.ir import DP, SP, KernelBuilder, analyze_nests
-from repro.machine import (ATOM, CORE2, NEHALEM, SANDY_BRIDGE,
-                           analyze_cache, collect_groups, lines_touched)
+from repro.machine import (ATOM, CORE2, NEHALEM, analyze_cache, collect_groups,
+                           lines_touched)
 
 
 def _stream(n, dtype=DP, name="stream"):

@@ -42,12 +42,6 @@ def test_exports_are_valid_json_and_replay_byte_identical(tmp_path,
     assert metrics["counters"]["tasks.profile"] > 0
 
 
-def test_parallel_run_exports_identical_files(tmp_path, capsys):
-    serial = run_reduce(tmp_path, "serial")
-    parallel = run_reduce(tmp_path, "parallel", extra=["-j", "2"])
-    assert serial == parallel
-
-
 def test_predict_traces_evaluation(tmp_path, capsys):
     trace = tmp_path / "predict.json"
     status = main(BASE + ["--trace-out", str(trace), "predict",

@@ -76,6 +76,24 @@ class TestAccounting:
         assert cache2.stats.misses == 1
         assert cache2.stats.stores == 1
 
+    def test_partly_warm_run_matches_uncached(self, tmp_path):
+        """Cache hits and fresh profiles interleave in input order, keep
+        the caller's codelet objects and discard exactly what an
+        uncached run discards."""
+        codelets = random_codelets(seed=17, count=10)
+        profile_codelets(codelets[::2], Measurer(),
+                         cache=DiskCache(str(tmp_path / "c")))
+        cache = DiskCache(str(tmp_path / "c"))
+        mixed = profile_codelets(codelets, Measurer(), cache=cache)
+        assert cache.stats.hits == 5
+        assert cache.stats.misses == 5
+        assert mixed == profile_codelets(codelets, Measurer())
+        # The seed straddles the 1M-cycle filter.
+        assert mixed.discarded
+        by_name = {c.name: c for c in codelets}
+        for p in mixed.profiles:
+            assert p.codelet is by_name[p.name]
+
 
 class TestInvalidation:
     def test_source_change_invalidates(self, tmp_path):

@@ -14,8 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.runtime import (CorruptResult, FaultPlan, FaultRule,
-                           InjectedCrash, InjectedTimeout,
-                           ProcessExecutor, QUARANTINED,
+                           InjectedCrash, InjectedTimeout, QUARANTINED,
                            ResilientExecutor, RetryPolicy, RunHealth,
                            crash_plan)
 
@@ -280,26 +279,6 @@ class TestResilientExecutor:
                       arch="X") == 42
         assert ex.run(lambda: 0, key="gone", stage="bench",
                       arch="X") is QUARANTINED
-
-    def test_parallel_matches_serial_including_health(self):
-        plan = FaultPlan(seed=1, rules=(
-            FaultRule(kind="crash", match="t1"),
-            FaultRule(kind="crash", match="t3", attempts=(0,)),
-        ))
-        items, keys = list(range(6)), [f"t{i}" for i in range(6)]
-
-        serial = ResilientExecutor(RetryPolicy(retries=1),
-                                   fault_plan=plan)
-        expected = serial.map_tasks(_double, items, keys,
-                                    stage="profile", arch="X")
-        parallel = ResilientExecutor(RetryPolicy(retries=1),
-                                     fault_plan=plan)
-        with ProcessExecutor(2) as pool:
-            got = parallel.map_tasks(_double, items, keys,
-                                     stage="profile", arch="X",
-                                     executor=pool)
-        assert got == expected
-        assert parallel.health.to_json() == serial.health.to_json()
 
     def test_health_json_replayable(self):
         plan = FaultPlan(seed=2, rules=(

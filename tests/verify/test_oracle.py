@@ -51,8 +51,7 @@ class TestDiffReduced:
 class TestDifferentialCases:
     def test_registered_cases(self):
         assert set(DIFFERENTIAL_CASES) == {
-            "serial-vs-parallel", "cached-vs-uncached",
-            "elbow-vs-explicit-k"}
+            "cached-vs-uncached", "elbow-vs-explicit-k"}
 
     def test_unknown_case_rejected(self, ctx):
         with pytest.raises(KeyError, match="unknown differential"):

@@ -53,5 +53,5 @@ def test_full_run_including_differential_cases(capsys, tmp_path):
     assert main(["verify", "--seed", "1",
                  "--report-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "verify_seed1.json").read_text())
-    assert len(payload["differentials"]) == 3
+    assert len(payload["differentials"]) == 2
     assert all(r["passed"] for r in payload["differentials"])
